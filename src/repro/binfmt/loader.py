@@ -44,14 +44,22 @@ class LoadedImage:
         self._entry_names: List[str] = []
         self._data_symbols: Dict[str, int] = {}
         self._next_code = code_base
-        #: Monotonic counter bumped on every code change (new function or
-        #: rewriter patch via ``add_function(replace=True)``).  CPUs key
-        #: their decode caches on this, so stale pre-decoded closures are
-        #: discarded the moment the image is patched.  Loaded ``Function``
-        #: bodies must otherwise be treated as immutable; in-place patches
-        #: must go through :meth:`add_function` (or call
-        #: :meth:`invalidate_code`) to be picked up.
+        #: Monotonic counter bumped on every code change (new function,
+        #: rewriter patch via ``add_function(replace=True)``, or
+        #: :meth:`invalidate_code`).  Each bump empties
+        #: :attr:`shared_decodes`, and every CPU running on this image
+        #: drops its views of the old step lists the next time it
+        #: switches function.  Loaded ``Function`` bodies must otherwise
+        #: be treated as immutable; in-place patches must go through
+        #: :meth:`add_function` (or call :meth:`invalidate_code`) to be
+        #: picked up.
         self.code_generation = 0
+        #: Decoded step lists shared by every CPU that runs on this image
+        #: (the booted parent, its fork children and its threads):
+        #: ``(dbi_multiplier, telemetry generation) -> {function name:
+        #: DecodedFunction}``.  Filled by ``CPU._decoded``; never copied
+        #: by :meth:`clone`, so each spawn from a warmed image starts cold.
+        self.shared_decodes: Dict[Tuple[float, int], Dict[str, object]] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -80,7 +88,7 @@ class LoadedImage:
             self._insert_entry(entry, function.name)
         self._functions[function.name] = function
         self._layout[function.name] = (entry, offsets)
-        self.code_generation += 1
+        self.invalidate_code()
         return entry
 
     def clone(self) -> "LoadedImage":
@@ -89,7 +97,9 @@ class LoadedImage:
         Layout tables are copied (so ``add_function(replace=True)``
         patches stay private to one process), while the immutable
         ``Function`` bodies are shared — the same sharing ``fork``
-        already relies on when parent and child reuse one image.
+        already relies on when parent and child reuse one image.  The
+        decoded steps are not: the twin starts with an empty
+        :attr:`shared_decodes`.
         """
         twin = LoadedImage(self.code_base)
         twin._functions = dict(self._functions)
@@ -105,6 +115,7 @@ class LoadedImage:
         """Force CPUs to re-decode: call after mutating a loaded body in
         place (the rewriter's splice path does this for you)."""
         self.code_generation += 1
+        self.shared_decodes.clear()
 
     def _insert_entry(self, entry: int, name: str) -> None:
         position = bisect.bisect_left(self._entries, entry)

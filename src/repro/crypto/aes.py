@@ -7,14 +7,19 @@ Only ECB single-block encryption/decryption is needed, but decryption is
 included so tests can verify the implementation round-trips against the
 FIPS-197 appendix vectors.
 
-The implementation favours clarity over speed: the canary path encrypts
-one block per protected call in *simulated* time (the cycle cost lives in
-``repro.isa.costs``), so host-side throughput is irrelevant.
+The canary path encrypts one block per protected call.  Its *simulated*
+cost lives in ``repro.isa.costs`` (``AES_HELPER_COST``); host-side, a
+served fleet request pays for one or two blocks, so encryption is
+table-driven: SubBytes and ShiftRows are one S-box gather, MixColumns
+reads precomputed GF(2^8) x2/x3 tables, and the key schedule is
+memoised — fork children share the TLS canary that is the key.
+Decryption is test-only and keeps the textbook bit-loop arithmetic.
 """
 
 from __future__ import annotations
 
-from typing import List
+from functools import lru_cache
+from typing import List, Tuple
 
 BLOCK_SIZE = 16
 KEY_SIZE = 16
@@ -66,6 +71,16 @@ def _gmul(a: int, b: int) -> int:
     return result
 
 
+#: MixColumns lookup tables: ``MUL2[a] = 2·a`` and ``MUL3[a] = 3·a`` in GF(2^8).
+MUL2 = bytes(_xtime(a) for a in range(256))
+MUL3 = bytes(_xtime(a) ^ a for a in range(256))
+
+#: ShiftRows as a gather: the state is column-major (byte (row, col) at
+#: ``row + 4*col``) and row ``r`` rotates left by ``r``, so output byte
+#: ``i`` reads input byte ``(i + 4 * (i % 4)) % 16``.
+SHIFT_ROWS = tuple((i + 4 * (i % 4)) % 16 for i in range(16))
+
+
 def expand_key(key: bytes) -> List[bytes]:
     """Expand a 16-byte key into 11 round keys (FIPS-197 §5.2)."""
     if len(key) != KEY_SIZE:
@@ -91,30 +106,12 @@ def _sub_bytes(state: bytearray, box: bytes) -> None:
         state[i] = box[state[i]]
 
 
-def _shift_rows(state: bytearray) -> None:
-    # State is column-major: byte (row, col) lives at state[row + 4*col].
-    for row in range(1, 4):
-        cells = [state[row + 4 * col] for col in range(4)]
-        cells = cells[row:] + cells[:row]
-        for col in range(4):
-            state[row + 4 * col] = cells[col]
-
-
 def _inv_shift_rows(state: bytearray) -> None:
     for row in range(1, 4):
         cells = [state[row + 4 * col] for col in range(4)]
         cells = cells[-row:] + cells[:-row]
         for col in range(4):
             state[row + 4 * col] = cells[col]
-
-
-def _mix_columns(state: bytearray) -> None:
-    for col in range(4):
-        a = state[4 * col : 4 * col + 4]
-        state[4 * col + 0] = _gmul(a[0], 2) ^ _gmul(a[1], 3) ^ a[2] ^ a[3]
-        state[4 * col + 1] = a[0] ^ _gmul(a[1], 2) ^ _gmul(a[2], 3) ^ a[3]
-        state[4 * col + 2] = a[0] ^ a[1] ^ _gmul(a[2], 2) ^ _gmul(a[3], 3)
-        state[4 * col + 3] = _gmul(a[0], 3) ^ a[1] ^ a[2] ^ _gmul(a[3], 2)
 
 
 def _inv_mix_columns(state: bytearray) -> None:
@@ -126,22 +123,33 @@ def _inv_mix_columns(state: bytearray) -> None:
         state[4 * col + 3] = _gmul(a[0], 11) ^ _gmul(a[1], 13) ^ _gmul(a[2], 9) ^ _gmul(a[3], 14)
 
 
+@lru_cache(maxsize=64)
+def _round_keys(key: bytes) -> Tuple[bytes, ...]:
+    """Memoised key schedule.  Bounded: a campaign sees one key per
+    process lineage, and the cap keeps long runs' memory flat."""
+    return tuple(expand_key(key))
+
+
 def encrypt_block(key: bytes, plaintext: bytes) -> bytes:
     """Encrypt one 16-byte block with AES-128 (models ``AES_ENCRYPT_128``)."""
     if len(plaintext) != BLOCK_SIZE:
         raise ValueError(f"plaintext block must be {BLOCK_SIZE} bytes, got {len(plaintext)}")
-    round_keys = expand_key(key)
-    state = bytearray(plaintext)
-    _add_round_key(state, round_keys[0])
+    round_keys = _round_keys(bytes(key))
+    sbox, mul2, mul3 = SBOX, MUL2, MUL3
+    state = [p ^ k for p, k in zip(plaintext, round_keys[0])]
     for rnd in range(1, ROUNDS):
-        _sub_bytes(state, SBOX)
-        _shift_rows(state)
-        _mix_columns(state)
-        _add_round_key(state, round_keys[rnd])
-    _sub_bytes(state, SBOX)
-    _shift_rows(state)
-    _add_round_key(state, round_keys[ROUNDS])
-    return bytes(state)
+        # SubBytes + ShiftRows, then MixColumns + AddRoundKey per column.
+        t = [sbox[state[j]] for j in SHIFT_ROWS]
+        k = round_keys[rnd]
+        state = []
+        for c in (0, 4, 8, 12):
+            a0, a1, a2, a3 = t[c], t[c + 1], t[c + 2], t[c + 3]
+            state.append(mul2[a0] ^ mul3[a1] ^ a2 ^ a3 ^ k[c])
+            state.append(a0 ^ mul2[a1] ^ mul3[a2] ^ a3 ^ k[c + 1])
+            state.append(a0 ^ a1 ^ mul2[a2] ^ mul3[a3] ^ k[c + 2])
+            state.append(mul3[a0] ^ a1 ^ a2 ^ mul2[a3] ^ k[c + 3])
+    k = round_keys[ROUNDS]
+    return bytes(sbox[state[j]] ^ k[i] for i, j in enumerate(SHIFT_ROWS))
 
 
 def decrypt_block(key: bytes, ciphertext: bytes) -> bytes:

@@ -32,6 +32,7 @@ reproduces the program, the kernel entropy, *and* the schedule, so
 from __future__ import annotations
 
 import json
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -591,9 +592,12 @@ def run_campaign(
     done = report.completed_seeds
 
     def checkpoint() -> None:
+        # Atomic: a kill mid-dump leaves the previous checkpoint intact.
         if checkpoint_path:
-            with open(checkpoint_path, "w", encoding="utf-8") as handle:
+            tmp = f"{checkpoint_path}.tmp"
+            with open(tmp, "w", encoding="utf-8") as handle:
                 json.dump(report.to_json(), handle, indent=2)
+            os.replace(tmp, checkpoint_path)
 
     if jobs > 1:
         return _run_campaign_parallel(

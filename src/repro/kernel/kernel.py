@@ -215,7 +215,9 @@ class Kernel:
         self._next_pid += 1
         # The COW clone below freezes the parent's private pages; drop
         # the parent CPU's compiled superblocks so no JIT code outlives
-        # a memory-sharing boundary (the child's fresh CPU starts cold).
+        # a memory-sharing boundary.  The child shares the parent's
+        # image, and with it the decoded step lists; only its JIT
+        # state starts cold.
         parent.cpu.flush_jit_cache()
         child = Process(
             parent.kernel,

@@ -34,7 +34,7 @@ from ..isa.costs import instruction_cost
 from ..isa.instructions import Function, Imm, Instruction, Label, Mem, Reg, Sym
 from ..isa.registers import ARG_REGS, RegisterFile
 from . import jit as _jit
-from .decode import CONTROL, SYNC, DecodedFunction, FunctionDecoder
+from .decode import CONTROL, SYNC, DecodedView, FunctionDecoder
 from .devices import RdRandDevice, TimeStampCounter
 from .memory import EXIT_ADDRESS, Memory
 
@@ -71,8 +71,10 @@ class CPU:
         The process address space.
     image:
         Loaded code image; must provide ``function(name)``,
-        ``address_of(name, index)``, ``resolve(address)`` and
-        ``lookup(name)`` (see :class:`repro.binfmt.loader.LoadedImage`).
+        ``address_of(name, index)``, ``resolve(address)``,
+        ``lookup(name)``, ``code_generation``, ``invalidate_code()`` and
+        the ``shared_decodes`` store (see
+        :class:`repro.binfmt.loader.LoadedImage`).
     natives:
         Symbol table of :class:`NativeFunction` objects consulted when a
         ``call`` target is not simulated code.
@@ -105,6 +107,14 @@ class CPU:
         self.image = image
         self.natives = natives if natives is not None else {}
         self.registers = registers or RegisterFile()
+        #: Per-process state the decoded steps reach through their CPU
+        #: argument, bound once here; ``registers`` and ``memory`` are
+        #: never reassigned, so these never go stale.
+        self.gpr = self.registers.gpr
+        self.read_word = memory.read_word
+        self.write_word = memory.write_word
+        self.read_byte = memory.read_byte
+        self.write_byte = memory.write_byte
         self.tsc = tsc or TimeStampCounter()
         self.rdrand = rdrand
         self.cycle_limit = cycle_limit
@@ -129,13 +139,13 @@ class CPU:
         #: switches (one ``is not None`` check per switch when absent).
         self.profiler = None
         self._current: Optional[Function] = None
-        #: Decode cache: function name -> DecodedFunction, valid for one
-        #: image generation, one decoder binding, and one telemetry
-        #: generation (see _decoded).
-        self._decoder: Optional[FunctionDecoder] = None
-        self._decode_cache: Dict[str, DecodedFunction] = {}
+        #: This CPU's views of the image's shared step lists: function
+        #: name -> DecodedView, valid for one image generation, one
+        #: telemetry generation and one DBI multiplier (see _decoded).
+        self._decode_cache: Dict[str, DecodedView] = {}
         self._decode_generation: Optional[int] = None
         self._decode_telemetry_generation: int = -1
+        self._decode_dbi: Optional[float] = None
         #: Canary group-leader maps for the slow loop, keyed by function
         #: name and invalidated on object identity (mirrors _decoded).
         self._marker_cache: Dict[str, Tuple[Function, Dict[int, str]]] = {}
@@ -405,10 +415,14 @@ class CPU:
     # -- decode-cache fast path ------------------------------------------
 
     def flush_decode_cache(self) -> None:
-        """Drop every cached decode (e.g. after mutating code in place)."""
+        """Drop every cached decode (e.g. after mutating code in place).
+
+        The step lists are shared through the image, so this invalidates
+        the image's code: every CPU running on it re-decodes.
+        """
         self.flush_jit_cache()
         self._decode_cache.clear()
-        self._decoder = None
+        self.image.invalidate_code()
 
     def flush_jit_cache(self) -> None:
         """Drop compiled superblocks (and hotness counts), keep decodes.
@@ -435,40 +449,52 @@ class CPU:
                 help="compiled superblocks dropped by explicit flushes",
             )
 
-    def _decoded(self, function: Function) -> DecodedFunction:
-        """Fetch (or build) the decoded form of ``function`` for this CPU.
+    def _decoded(self, function: Function) -> DecodedView:
+        """This CPU's view of ``function``'s shared step list.
 
-        Invalidation rules: the whole cache is dropped when the image's
-        ``code_generation`` moves (rewriter patched the image), when the
-        decoder's bound register file / memory / DBI multiplier no longer
-        match the CPU's, and a single entry is re-decoded when the image
-        maps the name to a different ``Function`` object.
+        Steps take their CPU as an argument, so one decode serves every
+        CPU that runs on the image: the booted parent, its fork children
+        and its threads.  The image's ``shared_decodes`` store holds the
+        step lists, keyed by ``(dbi_multiplier, telemetry generation)``;
+        the image empties it whenever ``code_generation`` moves.  This
+        CPU keeps one :class:`DecodedView` per function — the shared step
+        list plus its own trace-JIT state — and drops them all when the
+        code generation, the telemetry generation (canary-leader wrappers
+        come and go) or its DBI multiplier changes.  A single entry is
+        refreshed when the image maps the name to a different
+        ``Function`` object.
         """
-        decoder = self._decoder
-        if (
-            decoder is None
-            or decoder.registers is not self.registers
-            or decoder.memory is not self.memory
-            or decoder.dbi_multiplier != self.dbi_multiplier
-        ):
-            decoder = self._decoder = FunctionDecoder(self, _DISPATCH)
-            self._decode_cache.clear()
-        generation = getattr(self.image, "code_generation", None)
-        if generation != self._decode_generation:
-            self._decode_cache.clear()
-            self._decode_generation = generation
+        views = self._decode_cache
+        generation = self.image.code_generation
         telemetry_generation = telemetry.generation()
-        if telemetry_generation != self._decode_telemetry_generation:
-            # Telemetry flipped state: cached steps may hold stale (or
-            # missing) canary-leader wrappers — re-decode against the
-            # current hooks.
-            self._decode_cache.clear()
+        dbi = self.dbi_multiplier
+        if (
+            generation != self._decode_generation
+            or telemetry_generation != self._decode_telemetry_generation
+            or dbi != self._decode_dbi
+        ):
+            views.clear()
+            self._decode_generation = generation
             self._decode_telemetry_generation = telemetry_generation
-        decoded = self._decode_cache.get(function.name)
+            self._decode_dbi = dbi
+        name = function.name
+        view = views.get(name)
+        if view is not None and view.function is function:
+            return view
+        store = self.image.shared_decodes
+        key = (dbi, telemetry_generation)
+        shared = store.get(key)
+        if shared is None:
+            # Steps wrapped for another telemetry generation are dead.
+            for stale in [k for k in store if k[1] != telemetry_generation]:
+                del store[stale]
+            shared = store[key] = {}
+        decoded = shared.get(name)
         if decoded is None or decoded.function is not function:
-            decoded = decoder.decode(function)
-            self._decode_cache[function.name] = decoded
-        return decoded
+            decoder = FunctionDecoder(self.image, _DISPATCH, dbi)
+            decoded = shared[name] = decoder.decode(function)
+        view = views[name] = DecodedView(decoded)
+        return view
 
     def _run_loop_fast(self) -> None:
         """Walk pre-decoded step lists with batched cycle accounting.
@@ -598,7 +624,7 @@ class CPU:
                             )
                         pending_instructions += 1
                         if kind == 0:
-                            execute()
+                            execute(self)
                             index += 1
                             continue
                         if kind & SYNC:
@@ -612,11 +638,11 @@ class CPU:
                             pending_ticks = 0
                             pending_instructions = 0
                             try:
-                                execute()
+                                execute(self)
                             finally:
                                 cycle_total = self.cycles
                         else:
-                            execute()
+                            execute(self)
                         if not (kind & CONTROL):
                             index += 1
                             continue

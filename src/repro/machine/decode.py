@@ -1,17 +1,18 @@
-"""Decode cache: lower :class:`Function` bodies into pre-bound step closures.
+"""Decode cache: lower :class:`Function` bodies into CPU-parametric steps.
 
 The slow interpreter path re-answers the same questions for every dynamic
 instruction: which handler implements the mnemonic, what it costs, what
 operand kinds it has, and which addresses they resolve to.  For a given
-(CPU, Function) pair almost all of those answers are static, so this
+(image, Function) pair almost all of those answers are static, so this
 module answers them once per *static* instruction and captures the result
 in a closure ("step"); the CPU's fast loop then just walks a step list.
 
 Every step is a 5-tuple ``(execute, cycles, ticks, kind, next_rip)``:
 
-* ``execute()`` — the instruction's semantics, with operand accessors
-  (register read/write thunks, pre-computed effective-address components,
-  pre-masked immediates) resolved at decode time;
+* ``execute(C)`` — the instruction's semantics against CPU ``C``, with
+  operand shapes (register names, pre-computed effective-address
+  components, pre-masked immediates, resolved symbols) fixed at decode
+  time and per-process state reached through ``C``;
 * ``cycles``    — the DBI-scaled cycle charge (exactly what
   ``CPU.charge`` would have added to ``CPU.cycles``);
 * ``ticks``     — the matching TSC advance (``int(cycles) or 1``),
@@ -25,10 +26,14 @@ Every step is a 5-tuple ``(execute, cycles, ticks, kind, next_rip)``:
   and return-address pushes observe exactly the same program counter as
   the slow path.
 
-Closures bind a specific CPU's register dictionaries, memory, and image,
-so a :class:`DecodedFunction` is only valid for the CPU that decoded it,
-and only until the loaded image changes — the CPU's cache checks
-``LoadedImage.code_generation`` and the function object's identity.
+Steps close over the loaded image (symbol addresses, callee ``Function``
+objects, ``resolve``) and the DBI multiplier, never over a CPU: ``C``
+supplies the register file (``C.registers``, ``C.gpr``) and the memory
+accessors (``C.read_word``, ``C.write_word``, ``C.read_byte``,
+``C.write_byte``), which the CPU binds once at construction.  One
+:class:`DecodedFunction` therefore serves every CPU that runs on the same
+image — the booted parent, its fork children and its threads — until the
+image's ``code_generation`` moves (see ``CPU._decoded``).
 
 Mnemonics without a specialised compiler fall back to a closure over the
 slow-path handler, which keeps semantics authoritative in one place: the
@@ -53,6 +58,7 @@ from ..isa.instructions import (
     Reg,
     Sym,
 )
+from ..isa.registers import GPRS
 from .memory import EXIT_ADDRESS
 
 WORD_MASK = (1 << 64) - 1
@@ -65,44 +71,62 @@ STRAIGHT = 0
 CONTROL = 1
 SYNC = 2
 
-Step = Tuple[Callable[[], None], float, int, int, Tuple[str, int]]
+
+#: Register names the ``gpr`` dictionary holds; any other register operand
+#: is an xmm register.
+_GPRS = frozenset(GPRS)
+
+Step = Tuple[Callable[[object], None], float, int, int, Tuple[str, int]]
 
 
 class DecodedFunction:
-    """A function lowered to a step list for one specific CPU.
+    """A function lowered to a step list, shared by every CPU on one image.
 
-    The trace-JIT tier (:mod:`repro.machine.jit`) hangs its per-function
-    state off this object — ``jit_blocks`` maps dispatch indices to
-    compiled superblocks (or ``None`` for rejected anchors) and
-    ``jit_counts`` holds arrival counts for not-yet-hot anchors — so
-    every event that invalidates the decode cache (``code_generation``
-    bump, telemetry generation flip, decoder rebind, explicit flush)
-    drops compiled superblocks along with the steps they index into.
+    :meth:`FunctionDecoder.decode` builds it and ``CPU._decoded`` files it
+    in the image's shared store; each CPU then runs it through its own
+    :class:`DecodedView`.
     """
 
-    __slots__ = ("function", "steps", "jit_blocks", "jit_counts")
+    __slots__ = ("function", "steps")
 
     def __init__(self, function: Function, steps: List[Step]) -> None:
         self.function = function
         self.steps = steps
+
+
+class DecodedView:
+    """One CPU's handle on a shared :class:`DecodedFunction`.
+
+    ``steps`` is the shared list itself, not a copy.  The trace-JIT tier
+    (:mod:`repro.machine.jit`) hangs its per-CPU state here —
+    ``jit_blocks`` maps dispatch indices to compiled superblocks (or
+    ``None`` for rejected anchors) and ``jit_counts`` holds arrival counts
+    for not-yet-hot anchors — because a superblock binds one CPU's
+    accessors.  Every event that drops the CPU's views (``code_generation``
+    bump, telemetry generation flip, DBI change, explicit flush) drops the
+    superblocks along with them.
+    """
+
+    __slots__ = ("function", "steps", "jit_blocks", "jit_counts")
+
+    def __init__(self, decoded: DecodedFunction) -> None:
+        self.function = decoded.function
+        self.steps = decoded.steps
         self.jit_blocks: dict = {}
         self.jit_counts: dict = {}
 
 
 class FunctionDecoder:
-    """Compiles :class:`Function` bodies into step lists bound to one CPU.
+    """Compiles :class:`Function` bodies into CPU-parametric step lists.
 
-    The decoder snapshots the CPU's register file, memory, image and DBI
-    multiplier; the CPU rebuilds its decoder (and drops every cached
-    :class:`DecodedFunction`) if any of those identities change.
+    A decoder is bound to one image and one DBI multiplier: besides the
+    function itself and the telemetry hooks, those are the only inputs
+    its steps depend on.
     """
 
-    def __init__(self, cpu, dispatch) -> None:
-        self.cpu = cpu
-        self.registers = cpu.registers
-        self.memory = cpu.memory
-        self.image = cpu.image
-        self.dbi_multiplier = cpu.dbi_multiplier
+    def __init__(self, image, dispatch, dbi_multiplier: float = 1.0) -> None:
+        self.image = image
+        self.dbi_multiplier = dbi_multiplier
         self._dispatch = dispatch
         self._compilers = {
             "nop": self._c_nop,
@@ -164,9 +188,9 @@ class FunctionDecoder:
         hooks = telemetry.canary_hooks()
         if hooks is not None:
             # Telemetry: wrap only canary group-leader steps, so the fast
-            # loop pays nothing on any other step.  The CPU's decode cache
-            # watches the telemetry generation, re-decoding these away
-            # when telemetry is disabled.
+            # loop pays nothing on any other step.  Shared step lists are
+            # keyed on the telemetry generation, so these wrappers are
+            # decoded away when telemetry is disabled.
             for index, marker in telemetry.canary_markers(function).items():
                 execute, cycles, ticks, kind, next_rip = steps[index]
                 steps[index] = (
@@ -180,12 +204,11 @@ class FunctionDecoder:
     # ------------------------------------------------------------------
 
     def _generic(self, instruction: Instruction):
-        cpu = self.cpu
         op = instruction.op
         handler = self._dispatch.get(op)
         if handler is None:
 
-            def missing() -> None:
+            def missing(C) -> None:
                 raise IllegalInstruction(f"no semantics for {op!r}")
 
             return missing, STRAIGHT
@@ -197,8 +220,8 @@ class FunctionDecoder:
             # native helper that charges cycles.  Both need exact state.
             kind |= SYNC
 
-        def execute() -> None:
-            handler(cpu, instruction)
+        def execute(C) -> None:
+            handler(C, instruction)
 
         return execute, kind
 
@@ -206,69 +229,73 @@ class FunctionDecoder:
     # operand accessor compilation
     # ------------------------------------------------------------------
 
-    def _ea(self, m: Mem) -> Optional[Callable[[], int]]:
+    def _ea(self, m: Mem) -> Optional[Callable[[object], int]]:
         """Compile an effective-address thunk, or ``None`` if not possible."""
-        registers = self.registers
-        gpr = registers.gpr
         disp, base, index, scale = m.disp, m.base, m.index, m.scale
-        if base is not None and base not in gpr:
+        if base is not None and base not in _GPRS:
             return None
-        if index is not None and index not in gpr:
+        if index is not None and index not in _GPRS:
             return None
         if m.seg is not None:
             if m.seg != "fs":
                 return None  # generic path raises IllegalInstruction at exec
             if base is None and index is None:
-                return lambda: (registers.fs_base + disp) & WORD_MASK
+                return lambda C: (C.registers.fs_base + disp) & WORD_MASK
             if index is None:
-                return lambda: (registers.fs_base + disp + gpr[base]) & WORD_MASK
-            if base is None:
-                return lambda: (
-                    registers.fs_base + disp + gpr[index] * scale
+                return lambda C: (
+                    C.registers.fs_base + disp + C.gpr[base]
                 ) & WORD_MASK
-            return lambda: (
-                registers.fs_base + disp + gpr[base] + gpr[index] * scale
-            ) & WORD_MASK
+            if base is None:
+                return lambda C: (
+                    C.registers.fs_base + disp + C.gpr[index] * scale
+                ) & WORD_MASK
+
+            def fs_base_index(C) -> int:
+                gpr = C.gpr
+                return (
+                    C.registers.fs_base + disp + gpr[base] + gpr[index] * scale
+                ) & WORD_MASK
+
+            return fs_base_index
         if base is not None and index is None:
             if disp == 0:
-                return lambda: gpr[base]
-            return lambda: (gpr[base] + disp) & WORD_MASK
+                return lambda C: C.gpr[base]
+            return lambda C: (C.gpr[base] + disp) & WORD_MASK
         if base is not None:
-            return lambda: (gpr[base] + gpr[index] * scale + disp) & WORD_MASK
-        if index is not None:
-            return lambda: (gpr[index] * scale + disp) & WORD_MASK
-        address = disp & WORD_MASK
-        return lambda: address
 
-    def _read(self, operand, width: int = 8) -> Optional[Callable[[], int]]:
+            def base_index(C) -> int:
+                gpr = C.gpr
+                return (gpr[base] + gpr[index] * scale + disp) & WORD_MASK
+
+            return base_index
+        if index is not None:
+            return lambda C: (C.gpr[index] * scale + disp) & WORD_MASK
+        address = disp & WORD_MASK
+        return lambda C: address
+
+    def _read(self, operand, width: int = 8) -> Optional[Callable[[object], int]]:
         """Compile a read thunk mirroring ``CPU.read_operand``."""
-        registers = self.registers
         if isinstance(operand, Reg):
             name = operand.name
-            if name in registers.gpr:
-                gpr = registers.gpr
-                return lambda: gpr[name]
-            xmm = registers.xmm
-            return lambda: xmm[name]
+            if name in _GPRS:
+                return lambda C: C.gpr[name]
+            return lambda C: C.registers.xmm[name]
         if isinstance(operand, Imm):
             value = operand.value & WORD_MASK
-            return lambda: value
+            return lambda C: value
         if isinstance(operand, Mem):
             ea = self._ea(operand)
             if ea is None:
                 return None
-            memory = self.memory
             if width == 8:
-                read_word = memory.read_word
-                return lambda: read_word(ea())
+                return lambda C: C.read_word(ea(C))
             if width == 1:
-                read_byte = memory.read_byte
-                return lambda: read_byte(ea())
+                return lambda C: C.read_byte(ea(C))
             if width == 16:
-                read_word = memory.read_word
 
-                def read16() -> int:
-                    address = ea()
+                def read16(C) -> int:
+                    address = ea(C)
+                    read_word = C.read_word
                     return (read_word(address + 8) << 64) | read_word(address)
 
                 return read16
@@ -281,44 +308,38 @@ class FunctionDecoder:
             except Exception:
                 # Unresolved now; defer (and fail) at execution time, like
                 # the slow path does.
-                return lambda: image.address_of(symbol)
-            return lambda: value
+                return lambda C: image.address_of(symbol)
+            return lambda C: value
         return None
 
-    def _write(self, operand, width: int = 8) -> Optional[Callable[[int], None]]:
+    def _write(self, operand, width: int = 8) -> Optional[Callable[[object, int], None]]:
         """Compile a write thunk mirroring ``CPU.write_operand``."""
-        registers = self.registers
         if isinstance(operand, Reg):
             name = operand.name
-            if name in registers.gpr:
-                gpr = registers.gpr
+            if name in _GPRS:
 
-                def write_gpr(value: int) -> None:
-                    gpr[name] = value & WORD_MASK
+                def write_gpr(C, value: int) -> None:
+                    C.gpr[name] = value & WORD_MASK
 
                 return write_gpr
-            xmm = registers.xmm
 
-            def write_xmm(value: int) -> None:
-                xmm[name] = value & XMM_MASK
+            def write_xmm(C, value: int) -> None:
+                C.registers.xmm[name] = value & XMM_MASK
 
             return write_xmm
         if isinstance(operand, Mem):
             ea = self._ea(operand)
             if ea is None:
                 return None
-            memory = self.memory
             if width == 8:
-                write_word = memory.write_word
-                return lambda value: write_word(ea(), value & WORD_MASK)
+                return lambda C, value: C.write_word(ea(C), value & WORD_MASK)
             if width == 1:
-                write_byte = memory.write_byte
-                return lambda value: write_byte(ea(), value & 0xFF)
+                return lambda C, value: C.write_byte(ea(C), value & 0xFF)
             if width == 16:
-                write_word = memory.write_word
 
-                def write16(value: int) -> None:
-                    address = ea()
+                def write16(C, value: int) -> None:
+                    address = ea(C)
+                    write_word = C.write_word
                     write_word(address, value & WORD_MASK)
                     write_word(address + 8, (value >> 64) & WORD_MASK)
 
@@ -328,7 +349,7 @@ class FunctionDecoder:
 
     def _gpr_name(self, operand) -> Optional[str]:
         """The GPR name of a register operand, or ``None``."""
-        if isinstance(operand, Reg) and operand.name in self.registers.gpr:
+        if isinstance(operand, Reg) and operand.name in _GPRS:
             return operand.name
         return None
 
@@ -337,24 +358,20 @@ class FunctionDecoder:
     # ------------------------------------------------------------------
 
     def _c_nop(self, function, index, instruction):
-        def execute() -> None:
+        def execute(C) -> None:
             pass
 
         return execute, STRAIGHT
 
     def _c_hlt(self, function, index, instruction):
-        cpu = self.cpu
-        gpr = self.registers.gpr
-
-        def execute() -> None:
-            cpu.running = False
-            cpu.exit_status = gpr["rax"] & 0xFF
+        def execute(C) -> None:
+            C.running = False
+            C.exit_status = C.gpr["rax"] & 0xFF
 
         return execute, CONTROL
 
     def _c_mov(self, function, index, instruction):
         dst, src = instruction.operands
-        registers = self.registers
         if isinstance(dst, Reg) and dst.name.startswith("xmm"):
             # Mirrors the slow handler: the destination-xmm case wins and
             # takes the *full* source register value (128-bit for xmm src).
@@ -363,45 +380,44 @@ class FunctionDecoder:
             if read is None or write is None:
                 return None
 
-            def execute_to_xmm() -> None:
-                write(read())
+            def execute_to_xmm(C) -> None:
+                write(C, read(C))
 
             return execute_to_xmm, STRAIGHT
         if isinstance(src, Reg) and src.name.startswith("xmm"):
-            xmm = registers.xmm
             source = src.name
-            read = lambda: xmm[source] & WORD_MASK  # noqa: E731
+            read = lambda C: C.registers.xmm[source] & WORD_MASK  # noqa: E731
         else:
             read = self._read(src)
         write = self._write(dst)
         if read is None or write is None:
             return None
-        # Fuse the hottest shapes: gpr <- imm/gpr/mem and mem <- gpr/imm.
+        # Fuse the hottest shapes: gpr <- imm/gpr/mem.
         dst_gpr = self._gpr_name(dst)
         if dst_gpr is not None:
-            gpr = registers.gpr
             if isinstance(src, Imm):
                 value = src.value & WORD_MASK
 
-                def execute() -> None:
-                    gpr[dst_gpr] = value
+                def execute(C) -> None:
+                    C.gpr[dst_gpr] = value
 
                 return execute, STRAIGHT
             src_gpr = self._gpr_name(src)
             if src_gpr is not None:
 
-                def execute() -> None:
+                def execute(C) -> None:
+                    gpr = C.gpr
                     gpr[dst_gpr] = gpr[src_gpr]
 
                 return execute, STRAIGHT
 
-            def execute() -> None:
-                gpr[dst_gpr] = read()
+            def execute(C) -> None:
+                C.gpr[dst_gpr] = read(C)
 
             return execute, STRAIGHT
 
-        def execute() -> None:
-            write(read())
+        def execute(C) -> None:
+            write(C, read(C))
 
         return execute, STRAIGHT
 
@@ -412,10 +428,10 @@ class FunctionDecoder:
             return None
         dst_gpr = self._gpr_name(dst)
         if dst_gpr is not None:
-            gpr = self.registers.gpr
 
-            def execute() -> None:
-                gpr[dst_gpr] = (gpr[dst_gpr] & ~0xFF) | (read() & 0xFF)
+            def execute(C) -> None:
+                gpr = C.gpr
+                gpr[dst_gpr] = (gpr[dst_gpr] & ~0xFF) | (read(C) & 0xFF)
 
             return execute, STRAIGHT
         if isinstance(dst, Reg):
@@ -424,8 +440,8 @@ class FunctionDecoder:
         if write is None:
             return None
 
-        def execute() -> None:
-            write(read() & 0xFF)
+        def execute(C) -> None:
+            write(C, read(C) & 0xFF)
 
         return execute, STRAIGHT
 
@@ -436,8 +452,8 @@ class FunctionDecoder:
         if read is None or write is None:
             return None
 
-        def execute() -> None:
-            write(read() & 0xFF)
+        def execute(C) -> None:
+            write(C, read(C) & 0xFF)
 
         return execute, STRAIGHT
 
@@ -452,15 +468,14 @@ class FunctionDecoder:
                 return None
             dst_gpr = self._gpr_name(dst)
             if dst_gpr is not None:
-                gpr = self.registers.gpr
 
-                def execute() -> None:
-                    gpr[dst_gpr] = ea()
+                def execute(C) -> None:
+                    C.gpr[dst_gpr] = ea(C)
 
                 return execute, STRAIGHT
 
-            def execute() -> None:
-                write(ea())
+            def execute(C) -> None:
+                write(C, ea(C))
 
             return execute, STRAIGHT
         if isinstance(src, Sym):
@@ -468,8 +483,8 @@ class FunctionDecoder:
             if read is None:
                 return None
 
-            def execute() -> None:
-                write(read())
+            def execute(C) -> None:
+                write(C, read(C))
 
             return execute, STRAIGHT
         return None  # slow path raises IllegalInstruction
@@ -482,26 +497,24 @@ class FunctionDecoder:
         read = self._read(instruction.operands[0])
         if read is None:
             return None
-        gpr = self.registers.gpr
-        write_word = self.memory.write_word
 
-        def execute() -> None:
+        def execute(C) -> None:
+            gpr = C.gpr
             rsp = (gpr["rsp"] - 8) & WORD_MASK
             gpr["rsp"] = rsp
-            write_word(rsp, read())
+            C.write_word(rsp, read(C))
 
         return execute, STRAIGHT
 
     def _c_pop(self, function, index, instruction):
         target = instruction.operands[0]
-        gpr = self.registers.gpr
-        read_word = self.memory.read_word
         dst_gpr = self._gpr_name(target)
         if dst_gpr is not None:
 
-            def execute() -> None:
+            def execute(C) -> None:
+                gpr = C.gpr
                 rsp = gpr["rsp"]
-                value = read_word(rsp)
+                value = C.read_word(rsp)
                 gpr["rsp"] = (rsp + 8) & WORD_MASK
                 gpr[dst_gpr] = value
 
@@ -510,21 +523,20 @@ class FunctionDecoder:
         if write is None:
             return None
 
-        def execute() -> None:
+        def execute(C) -> None:
+            gpr = C.gpr
             rsp = gpr["rsp"]
-            value = read_word(rsp)
+            value = C.read_word(rsp)
             gpr["rsp"] = (rsp + 8) & WORD_MASK
-            write(value)
+            write(C, value)
 
         return execute, STRAIGHT
 
     def _c_leave(self, function, index, instruction):
-        gpr = self.registers.gpr
-        read_word = self.memory.read_word
-
-        def execute() -> None:
+        def execute(C) -> None:
+            gpr = C.gpr
             rbp = gpr["rbp"]
-            gpr["rbp"] = read_word(rbp)
+            gpr["rbp"] = C.read_word(rbp)
             gpr["rsp"] = (rbp + 8) & WORD_MASK
 
         return execute, STRAIGHT
@@ -539,12 +551,12 @@ class FunctionDecoder:
         read = self._read(src)
         if dst_gpr is None or read is None:
             return None
-        registers = self.registers
-        gpr = registers.gpr
         if isinstance(src, Imm):
             value = src.value & WORD_MASK
 
-            def execute() -> None:
+            def execute(C) -> None:
+                gpr = C.gpr
+                registers = C.registers
                 result = gpr[dst_gpr] + value
                 registers.cf = result > WORD_MASK
                 result &= WORD_MASK
@@ -554,8 +566,10 @@ class FunctionDecoder:
 
             return execute, STRAIGHT
 
-        def execute() -> None:
-            result = gpr[dst_gpr] + read()
+        def execute(C) -> None:
+            gpr = C.gpr
+            registers = C.registers
+            result = gpr[dst_gpr] + read(C)
             registers.cf = result > WORD_MASK
             result &= WORD_MASK
             gpr[dst_gpr] = result
@@ -570,12 +584,12 @@ class FunctionDecoder:
         read = self._read(src)
         if dst_gpr is None or read is None:
             return None
-        registers = self.registers
-        gpr = registers.gpr
 
-        def execute() -> None:
+        def execute(C) -> None:
+            gpr = C.gpr
+            registers = C.registers
             a = gpr[dst_gpr]
-            b = read()
+            b = read(C)
             registers.cf = a < b
             result = (a - b) & WORD_MASK
             gpr[dst_gpr] = result
@@ -590,11 +604,11 @@ class FunctionDecoder:
         read = self._read(src)
         if dst_gpr is None or read is None:
             return None
-        registers = self.registers
-        gpr = registers.gpr
 
-        def execute() -> None:
-            result = gpr[dst_gpr] ^ read()
+        def execute(C) -> None:
+            gpr = C.gpr
+            registers = C.registers
+            result = gpr[dst_gpr] ^ read(C)
             gpr[dst_gpr] = result
             registers.zf = result == 0
             registers.sf = result >= SIGN_BIT
@@ -609,11 +623,11 @@ class FunctionDecoder:
         read = self._read(src)
         if dst_gpr is None or read is None:
             return None
-        registers = self.registers
-        gpr = registers.gpr
 
-        def execute() -> None:
-            result = combine(gpr[dst_gpr], read()) & WORD_MASK
+        def execute(C) -> None:
+            gpr = C.gpr
+            registers = C.registers
+            result = combine(gpr[dst_gpr], read(C)) & WORD_MASK
             gpr[dst_gpr] = result
             registers.zf = result == 0
             registers.sf = result >= SIGN_BIT
@@ -650,11 +664,11 @@ class FunctionDecoder:
         dst_gpr = self._gpr_name(target)
         if dst_gpr is None:
             return None
-        registers = self.registers
-        gpr = registers.gpr
         if set_flags:
 
-            def execute() -> None:
+            def execute(C) -> None:
+                gpr = C.gpr
+                registers = C.registers
                 result = transform(gpr[dst_gpr]) & WORD_MASK
                 gpr[dst_gpr] = result
                 registers.zf = result == 0
@@ -662,7 +676,8 @@ class FunctionDecoder:
 
         else:
 
-            def execute() -> None:
+            def execute(C) -> None:
+                gpr = C.gpr
                 gpr[dst_gpr] = transform(gpr[dst_gpr]) & WORD_MASK
 
         return execute, STRAIGHT
@@ -685,15 +700,14 @@ class FunctionDecoder:
 
     def _c_cmp(self, function, index, instruction):
         a_op, b_op = instruction.operands
-        registers = self.registers
-        gpr = registers.gpr
         a_gpr = self._gpr_name(a_op)
         if a_gpr is not None and isinstance(b_op, Imm):
             b = b_op.value & WORD_MASK
             b_signed = b - TWO64 if b >= SIGN_BIT else b
 
-            def execute() -> None:
-                a = gpr[a_gpr]
+            def execute(C) -> None:
+                a = C.gpr[a_gpr]
+                registers = C.registers
                 registers.zf = a == b
                 registers.sf = (a - TWO64 if a >= SIGN_BIT else a) < b_signed
                 registers.cf = a < b
@@ -704,9 +718,10 @@ class FunctionDecoder:
         if read_a is None or read_b is None:
             return None
 
-        def execute() -> None:
-            a = read_a()
-            b = read_b()
+        def execute(C) -> None:
+            a = read_a(C)
+            b = read_b(C)
+            registers = C.registers
             registers.zf = a == b
             registers.sf = (a - TWO64 if a >= SIGN_BIT else a) < (
                 b - TWO64 if b >= SIGN_BIT else b
@@ -721,10 +736,10 @@ class FunctionDecoder:
         read_b = self._read(b_op)
         if read_a is None or read_b is None:
             return None
-        registers = self.registers
 
-        def execute() -> None:
-            result = read_a() & read_b()
+        def execute(C) -> None:
+            result = read_a(C) & read_b(C)
+            registers = C.registers
             registers.zf = result == 0
             registers.sf = result >= SIGN_BIT
             registers.cf = False
@@ -740,7 +755,7 @@ class FunctionDecoder:
         target = function.labels.get(label.name)
         if target is None:
 
-            def missing() -> None:
+            def missing(C) -> None:
                 raise InvalidJump(f"{function.name}: no label {label.name}")
 
             return None, missing
@@ -748,86 +763,74 @@ class FunctionDecoder:
 
     def _c_jmp(self, function, index, instruction):
         target = instruction.operands[0]
-        registers = self.registers
         if isinstance(target, Label):
             rip, missing = self._label_rip(function, target)
             if missing is not None:
                 return missing, CONTROL
 
-            def execute() -> None:
-                registers.rip = rip
+            def execute(C) -> None:
+                C.registers.rip = rip
 
             return execute, CONTROL
         if isinstance(target, Sym):
             callee = self.image.function(target.name)
             if callee is None:
                 return None  # slow path raises InvalidJump at execution
-            cpu = self.cpu
             entry_rip = (callee.name, 0)
 
-            def execute() -> None:
-                cpu._current = callee
-                registers.rip = entry_rip
+            def execute(C) -> None:
+                C._current = callee
+                C.registers.rip = entry_rip
 
             return execute, CONTROL
         return None  # indirect jmp: generic handler resolves dynamically
 
     def _conditional(self, function, instruction, condition):
-        """Build a conditional-jump step from a flag-reading closure."""
+        """Build a conditional-jump step from a flag-reading predicate."""
         target = instruction.operands[0]
         if not isinstance(target, Label):
             return None  # slow path raises InvalidJump when taken
         rip, missing = self._label_rip(function, target)
-        registers = self.registers
         if missing is not None:
 
-            def execute_missing() -> None:
-                if condition():
-                    missing()
+            def execute_missing(C) -> None:
+                if condition(C.registers):
+                    missing(C)
 
             return execute_missing, CONTROL
 
-        def execute() -> None:
-            if condition():
+        def execute(C) -> None:
+            registers = C.registers
+            if condition(registers):
                 registers.rip = rip
 
         return execute, CONTROL
 
     def _c_je(self, function, index, instruction):
-        registers = self.registers
-        return self._conditional(function, instruction, lambda: registers.zf)
+        return self._conditional(function, instruction, lambda r: r.zf)
 
     def _c_jne(self, function, index, instruction):
-        registers = self.registers
-        return self._conditional(function, instruction, lambda: not registers.zf)
+        return self._conditional(function, instruction, lambda r: not r.zf)
 
     def _c_jl(self, function, index, instruction):
-        registers = self.registers
-        return self._conditional(function, instruction, lambda: registers.sf)
+        return self._conditional(function, instruction, lambda r: r.sf)
 
     def _c_jle(self, function, index, instruction):
-        registers = self.registers
-        return self._conditional(
-            function, instruction, lambda: registers.sf or registers.zf
-        )
+        return self._conditional(function, instruction, lambda r: r.sf or r.zf)
 
     def _c_jg(self, function, index, instruction):
-        registers = self.registers
         return self._conditional(
-            function, instruction, lambda: not (registers.sf or registers.zf)
+            function, instruction, lambda r: not (r.sf or r.zf)
         )
 
     def _c_jge(self, function, index, instruction):
-        registers = self.registers
-        return self._conditional(function, instruction, lambda: not registers.sf)
+        return self._conditional(function, instruction, lambda r: not r.sf)
 
     def _c_jb(self, function, index, instruction):
-        registers = self.registers
-        return self._conditional(function, instruction, lambda: registers.cf)
+        return self._conditional(function, instruction, lambda r: r.cf)
 
     def _c_jae(self, function, index, instruction):
-        registers = self.registers
-        return self._conditional(function, instruction, lambda: not registers.cf)
+        return self._conditional(function, instruction, lambda r: not r.cf)
 
     def _c_call(self, function, index, instruction):
         target = instruction.operands[0]
@@ -838,46 +841,39 @@ class FunctionDecoder:
             # Native helper, or a symbol loaded later: resolve at runtime
             # through _call_symbol (which also charges native costs, hence
             # SYNC so accounting is exact when the handler observes it).
-            cpu = self.cpu
             symbol = target.name
 
-            def execute_native() -> None:
-                cpu._call_symbol(symbol)
+            def execute_native(C) -> None:
+                C._call_symbol(symbol)
 
             return execute_native, CONTROL | SYNC
-        cpu = self.cpu
-        registers = self.registers
-        gpr = registers.gpr
-        write_word = self.memory.write_word
         return_address = self.image.address_of(function.name, index + 1)
         entry_rip = (callee.name, 0)
 
-        def execute() -> None:
+        def execute(C) -> None:
+            gpr = C.gpr
             rsp = (gpr["rsp"] - 8) & WORD_MASK
             gpr["rsp"] = rsp
-            write_word(rsp, return_address)
-            cpu._current = callee
-            registers.rip = entry_rip
+            C.write_word(rsp, return_address)
+            C._current = callee
+            C.registers.rip = entry_rip
 
         return execute, CONTROL
 
     def _c_ret(self, function, index, instruction):
-        cpu = self.cpu
-        registers = self.registers
-        gpr = registers.gpr
-        read_word = self.memory.read_word
         resolve = self.image.resolve
 
-        def execute() -> None:
+        def execute(C) -> None:
+            gpr = C.gpr
             rsp = gpr["rsp"]
-            address = read_word(rsp)
+            address = C.read_word(rsp)
             gpr["rsp"] = (rsp + 8) & WORD_MASK
             if address == EXIT_ADDRESS:
-                cpu.running = False
-                cpu.exit_status = gpr["rax"] & 0xFF
+                C.running = False
+                C.exit_status = gpr["rax"] & 0xFF
                 return
             callee, target = resolve(address)
-            cpu._current = callee
-            registers.rip = (callee.name, target)
+            C._current = callee
+            C.registers.rip = (callee.name, target)
 
         return execute, CONTROL

@@ -56,7 +56,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .. import telemetry
 from ..isa.instructions import Imm, Label, Mem, Reg
-from .decode import CONTROL, SYNC, DecodedFunction
+from .decode import CONTROL, SYNC, DecodedView
 
 WORD_MASK = (1 << 64) - 1
 SIGN_BIT = 1 << 63
@@ -191,18 +191,19 @@ class _Lowering:
         self.push_stack.clear()
 
     def opaque(self, execute, pos: int) -> None:
-        """Call the decoded step closure; a full barrier for everything."""
+        """Call the decoded step on the block's CPU (``C``, bound into the
+        factory); a full barrier for everything."""
         name = f"e{pos}"
         self.consts[name] = execute
         self.fwd.clear()
         self.push_stack.clear()
-        self.emit(f"{name}()", pos, faultable=True, barrier=True)
+        self.emit(f"{name}(C)", pos, faultable=True, barrier=True)
 
 
 class _Compiler:
     """Lowers one run of decoded steps to a superblock function."""
 
-    def __init__(self, cpu, decoded: DecodedFunction) -> None:
+    def __init__(self, cpu, decoded: DecodedView) -> None:
         self.cpu = cpu
         self.decoded = decoded
         self.registers = cpu.registers
@@ -602,7 +603,7 @@ def _elide_redundant_flags(lines: List[_Line]) -> int:
     return elided
 
 
-def compile_superblock(cpu, decoded: DecodedFunction, anchor: int):
+def compile_superblock(cpu, decoded: DecodedView, anchor: int):
     """Compile the straight-line run at ``anchor``, or ``None`` to reject.
 
     Returns a :class:`Superblock` whose execution is observationally
@@ -729,7 +730,7 @@ def compile_superblock(cpu, decoded: DecodedFunction, anchor: int):
 def _assemble(low: _Lowering) -> str:
     """Render the lowered lines into the factory source."""
     faultable = any(line.faultable for line in low.lines)
-    params = ["_sb", "g", "R", "M", "S", "T", "rd", "wr", "rb", "wb"]
+    params = ["_sb", "C", "g", "R", "M", "S", "T", "rd", "wr", "rb", "wb"]
     params.extend(sorted(low.consts))
     out = [f"def _factory({', '.join(params)}):", "    def run():"]
     if not low.lines:
@@ -759,17 +760,17 @@ def _bind(cpu, low: _Lowering, sb: Superblock, name: str, anchor: int):
     exec(  # noqa: S102 - source is generated above from vetted templates
         compile(sb.source, f"<jit {name}+{anchor}>", "exec"), namespace
     )
-    memory = cpu.memory
     return namespace["_factory"](
         sb,
-        cpu.registers.gpr,
+        cpu,
+        cpu.gpr,
         cpu.registers,
         WORD_MASK,
         SIGN_BIT,
         TWO64,
-        memory.read_word,
-        memory.write_word,
-        memory.read_byte,
-        memory.write_byte,
+        cpu.read_word,
+        cpu.write_word,
+        cpu.read_byte,
+        cpu.write_byte,
         *(low.consts[key] for key in sorted(low.consts)),
     )

@@ -545,14 +545,14 @@ class Memory:
 
     def page_stats(self) -> Dict[str, int]:
         """Aggregate page accounting (diagnostics, bench_fork gate)."""
-        total = sum(segment.page_count for segment in self._sorted)
-        private = sum(
-            1
-            for segment in self._sorted
-            for page in segment._private.values()
-            if type(page) is bytearray
-        )
-        overlays = sum(segment.private_pages for segment in self._sorted)
+        total = private = overlays = 0
+        for segment in self._sorted:
+            total += len(segment._source)
+            pages = segment._private
+            overlays += len(pages)
+            for page in pages.values():
+                if type(page) is bytearray:
+                    private += 1
         return {
             "pages": total,
             "private_pages": private,

@@ -262,20 +262,24 @@ class CanaryHooks:
         self._ring = ring()
 
     def wrap(self, execute, marker: str, function: str, index: int):
-        """Wrap a leader step closure with its counter bump."""
+        """Wrap a leader step closure with its counter bump.
+
+        Steps are CPU-parametric (``execute(C)``), so the wrapper takes
+        the CPU and forwards it.
+        """
         counter = self.prologues if marker == "prologue" else self.epilogues
         event_kind = (
             "prologue-store" if marker == "prologue" else "epilogue-check"
         )
         event_ring = self._ring
 
-        def counted() -> None:
+        def counted(C) -> None:
             counter.value += 1
             if event_ring.sample_every > 0:
                 event_ring.emit_sampled(
                     event_kind, function=function, index=index
                 )
-            execute()
+            execute(C)
 
         return counted
 

@@ -42,6 +42,22 @@ def _mix64(value: int) -> int:
     return value
 
 
+def session_key(slice_seed: int, session_index: int) -> int:
+    """The mixer state after a session's two leading ID parts.
+
+    A tracer computes it once per session, so each request span pays
+    for one mixing round instead of three (:func:`request_span_id`).
+    """
+    acc = _mix64((slice_seed * _SALTS[0]) & _MASK64)
+    return _mix64(acc ^ ((session_index * _SALTS[1]) & _MASK64))
+
+
+def request_span_id(key: int, request_index: int = -1) -> str:
+    """:func:`span_id` from a :func:`session_key`."""
+    acc = _mix64(key ^ ((request_index * _SALTS[2]) & _MASK64))
+    return f"{acc or 1:016x}"
+
+
 def span_id(
     slice_seed: int, session_index: int, request_index: int = -1
 ) -> str:
@@ -50,12 +66,7 @@ def span_id(
     ``request_index = -1`` names the session span itself; request spans
     pass their slice-local request ordinal.
     """
-    acc = 0
-    for salt, part in zip(
-        _SALTS, (slice_seed, session_index, request_index)
-    ):
-        acc = _mix64(acc ^ ((part * salt) & _MASK64))
-    return f"{acc or 1:016x}"
+    return request_span_id(session_key(slice_seed, session_index), request_index)
 
 
 @dataclass

@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional
 from .. import telemetry
 from ..telemetry.events import EventRing
 from .series import SeriesSampler
-from .spans import Instant, SliceTrace, Span, span_id
+from .spans import Instant, SliceTrace, Span, request_span_id, session_key
 
 #: Canary lifecycle counters attributed per request span.
 _CANARY_COUNTERS = (
@@ -104,6 +104,7 @@ class SliceTracer:
         self.replay_identity: Dict[str, Any] = {}
         self._server = None
         self._session_index = -1
+        self._session_key = session_key(seed, -1)
         self._session_kind = ""
         self._session_span: Optional[Span] = None
         self._session_requests = 0
@@ -159,13 +160,14 @@ class SliceTracer:
         """The traffic driver is about to serve session ``plan``."""
         self._close_session()
         self._session_index = plan.index
+        self._session_key = session_key(self.trace.seed, plan.index)
         self._session_kind = plan.kind
         self._session_requests = 0
         self.trace.sessions += 1
         self._session_span = Span(
             name=f"session:{plan.kind}",
             category="session",
-            span_id=span_id(self.trace.seed, plan.index),
+            span_id=request_span_id(self._session_key),
             parent_id="",
             begin_cycles=self.clock,
             end_cycles=self.clock,
@@ -220,7 +222,7 @@ class SliceTracer:
             self.trace.spans.append(Span(
                 name=f"request:{self._session_kind or 'benign'}",
                 category="request",
-                span_id=span_id(self.trace.seed, self._session_index, request),
+                span_id=request_span_id(self._session_key, request),
                 parent_id=parent,
                 begin_cycles=begin,
                 end_cycles=end,

@@ -1,9 +1,13 @@
 """AES-128 correctness against FIPS-197 vectors and round-trip laws."""
 
+import json
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import aes
 from repro.crypto.aes import (
     BLOCK_SIZE,
     KEY_SIZE,
@@ -34,6 +38,48 @@ class TestVectors:
 
     def test_fips_appendix_c1_decrypt(self):
         assert decrypt_block(C1_KEY, C1_CT) == C1_PT
+
+
+def _recorded_vectors():
+    path = os.path.join(os.path.dirname(__file__), "aes_vectors.json")
+    with open(path, encoding="utf-8") as handle:
+        return [
+            tuple(bytes.fromhex(field) for field in triple)
+            for triple in json.load(handle)["vectors"]
+        ]
+
+
+RECORDED = _recorded_vectors()
+
+
+class TestRecordedVectors:
+    """The table-driven cipher against vectors the bit-loop one recorded."""
+
+    def test_vector_count(self):
+        assert len(RECORDED) == 32
+
+    @pytest.mark.parametrize("key,plaintext,ciphertext", RECORDED)
+    def test_encrypt_matches_recording(self, key, plaintext, ciphertext):
+        assert encrypt_block(key, plaintext) == ciphertext
+
+    @pytest.mark.parametrize("key,plaintext,ciphertext", RECORDED)
+    def test_decrypt_of_encrypt_round_trips(self, key, plaintext, ciphertext):
+        assert decrypt_block(key, encrypt_block(key, plaintext)) == plaintext
+
+    def test_table_mix_columns_matches_gf_multiply(self):
+        for a in range(256):
+            assert aes.MUL2[a] == aes._gmul(a, 2)
+            assert aes.MUL3[a] == aes._gmul(a, 3)
+
+    def test_key_schedule_cache_is_bounded(self):
+        assert aes._round_keys.cache_info().maxsize == 64
+        for key, plaintext, ciphertext in RECORDED * 3:
+            assert encrypt_block(key, plaintext) == ciphertext
+        assert aes._round_keys.cache_info().currsize <= 64
+
+    def test_bytearray_key_encrypts_like_bytes(self):
+        key, plaintext, ciphertext = RECORDED[0]
+        assert encrypt_block(bytearray(key), plaintext) == ciphertext
 
 
 class TestKeyExpansion:

@@ -97,6 +97,42 @@ class TestCampaign:
         assert sorted(seeds) == list(range(2018, 2024))
         assert len(set(seeds)) == 6  # resume re-ran nothing
 
+    def test_checkpoint_survives_a_kill_mid_dump(self, tmp_path, monkeypatch):
+        import json as real_json
+
+        from repro.faults import campaign as chaos
+
+        checkpoint = str(tmp_path / "chaos.json")
+        run_campaign(3, base_seed=2018, checkpoint_path=checkpoint)
+        with open(checkpoint, "rb") as handle:
+            previous = handle.read()
+
+        class Killed(Exception):
+            pass
+
+        def dump_then_die(obj, handle, **kwargs):
+            text = real_json.dumps(obj, **kwargs)
+            handle.write(text[: len(text) // 2])
+            raise Killed("killed during json.dump")
+
+        monkeypatch.setattr(
+            chaos, "json",
+            SimpleNamespace(dump=dump_then_die, load=real_json.load),
+        )
+        with pytest.raises(Killed):
+            run_campaign(6, base_seed=2018, checkpoint_path=checkpoint, resume=True)
+        monkeypatch.undo()
+
+        with open(checkpoint, "rb") as handle:
+            assert handle.read() == previous
+        resumed = run_campaign(
+            6, base_seed=2018, checkpoint_path=checkpoint, resume=True
+        )
+        uninterrupted = run_campaign(6, base_seed=2018)
+        assert real_json.dumps(resumed.to_json()) == real_json.dumps(
+            uninterrupted.to_json()
+        )
+
     def test_deadline_stops_the_campaign_with_a_typed_flag(self):
         report = run_campaign(50, base_seed=2018, deadline=0.0)
         assert report.timed_out

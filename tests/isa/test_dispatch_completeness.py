@@ -43,16 +43,8 @@ class TestTableCompleteness:
     def test_decode_specialisers_are_a_dispatch_subset(self):
         from repro.machine.decode import FunctionDecoder
 
-        # Instantiate against a minimal stand-in: the compiler table is
-        # built in __init__ and only needs attribute slots to exist.
-        class _StubCPU:
-            registers = None
-            memory = None
-            image = None
-            natives = {}
-            dbi_multiplier = 1.0
-
-        decoder = FunctionDecoder(_StubCPU(), _DISPATCH)
+        # The compiler table is built in __init__; it needs no image.
+        decoder = FunctionDecoder(None, _DISPATCH)
         unknown = set(decoder._compilers) - ALL_OPS
         assert not unknown, f"specialisers for unknown mnemonics: {sorted(unknown)}"
         assert set(decoder._compilers) <= set(_DISPATCH)
