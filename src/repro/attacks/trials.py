@@ -154,17 +154,12 @@ def run_attack_trial(
     )
 
 
-def _attack_shard_worker(config: Dict[str, Any], seeds, attempt: int):
-    """Process-pool entry point: run one shard's attack seeds."""
-    before = telemetry.snapshot()
-    trials = [
-        run_attack_trial(
-            config["scheme"], seed,
-            max_trials=config["max_trials"], source=config["source"],
-        ).to_json()
-        for seed in seeds
-    ]
-    return {"trials": trials, "telemetry": telemetry.delta(before)}
+def _attack_unit(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
+    """Campaign unit (see :mod:`repro.parallel.campaign`): one trial."""
+    return run_attack_trial(
+        config["scheme"], seed,
+        max_trials=config["max_trials"], source=config["source"],
+    ).to_json()
 
 
 def attack_campaign(
@@ -185,40 +180,17 @@ def attack_campaign(
     ``report.lost``; shards that needed more than one attempt land in
     ``report.shard_attempts``.
     """
-    report = AttackCampaignReport(
-        scheme=scheme, base_seed=base_seed, repeats=repeats,
-        max_trials=max_trials,
-    )
-    if jobs <= 1:
-        for index in range(repeats):
-            report.trials.append(run_attack_trial(
-                scheme, base_seed + index,
-                max_trials=max_trials, source=source,
-            ))
-        return report
-
-    from ..parallel import plan_shards, run_shards
+    from ..parallel import run_units
 
     config = {"scheme": scheme, "max_trials": max_trials, "source": source}
-    shards = plan_shards(base_seed, repeats)
-    outcomes, _ = run_shards(
-        _attack_shard_worker, config, shards, jobs=jobs, retries=shard_retries,
+    result = run_units(
+        _attack_unit, config, base_seed, repeats,
+        jobs=jobs, shard_retries=shard_retries,
     )
-    deltas = []
-    for outcome in outcomes:
-        if outcome.attempts > 1:
-            first, last = outcome.shard.seeds[0], outcome.shard.seeds[-1]
-            report.shard_attempts[f"{first}..{last}"] = outcome.attempts
-        if outcome.ok:
-            report.trials.extend(
-                AttackTrial.from_json(t) for t in outcome.value["trials"]
-            )
-            deltas.append(outcome.value["telemetry"])
-        else:
-            report.lost.extend(outcome.shard.seeds)
-    merged = telemetry.Snapshot()
-    for delta in deltas:
-        merged = merged.merge(telemetry.Snapshot(delta))
-    if merged:
-        telemetry.absorb(merged)
-    return report
+    return AttackCampaignReport(
+        scheme=scheme, base_seed=base_seed, repeats=repeats,
+        max_trials=max_trials,
+        trials=[AttackTrial.from_json(r) for r in result.records.values()],
+        lost=[seed for lost in result.lost for seed in lost.seeds],
+        shard_attempts=result.shard_attempts,
+    )

@@ -387,18 +387,22 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if usage is not None:
         return usage
     before = _telemetry_capture_start(args.telemetry_out)
-    report = run_campaign(
-        args.budget,
-        base_seed=args.seed,
-        retries=args.retries,
-        shard_retries=shard_retries,
-        deadline=args.deadline,
-        checkpoint_path=args.checkpoint,
-        resume=args.resume,
-        schemes=tuple(args.schemes.split(",")) if args.schemes else None,
-        progress=lambda line: print(f"  {line}", flush=True),
-        jobs=jobs,
-    )
+    try:
+        report = run_campaign(
+            args.budget,
+            base_seed=args.seed,
+            retries=args.retries,
+            shard_retries=shard_retries,
+            deadline=args.deadline,
+            checkpoint_path=args.checkpoint,
+            resume=args.resume,
+            schemes=tuple(args.schemes.split(",")) if args.schemes else None,
+            progress=lambda line: print(f"  {line}", flush=True),
+            jobs=jobs,
+        )
+    except CampaignError as error:  # e.g. a checkpoint from another campaign
+        print(f"infrastructure error: {error}", file=sys.stderr)
+        return EXIT_INFRASTRUCTURE
     print(report.render())
     _telemetry_capture_write(args.telemetry_out, before)
     if args.out:
@@ -650,16 +654,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint:
         print("--resume requires --checkpoint", file=sys.stderr)
         return EXIT_USAGE
-    tracing = args.trace_out is not None or args.bundle_dir is not None
-    if tracing and args.checkpoint:
-        print(
-            "--trace-out/--bundle-dir cannot be combined with --checkpoint "
-            "(a resumed campaign would leave holes in the trace)",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     trace_config = None
-    if tracing:
+    if args.trace_out is not None or args.bundle_dir is not None:
         from .trace import TraceConfig
 
         trace_config = TraceConfig(series_interval=args.series_interval)

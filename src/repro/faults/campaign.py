@@ -31,9 +31,6 @@ reproduces the program, the kernel entropy, *and* the schedule, so
 
 from __future__ import annotations
 
-import json
-import os
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -233,7 +230,7 @@ class ChaosRun:
 
 @dataclass
 class ChaosReport:
-    """Outcome of one chaos campaign (checkpointable)."""
+    """Outcome of one chaos campaign."""
 
     budget: int
     base_seed: int
@@ -455,34 +452,27 @@ def run_chaos_case(
     return run
 
 
-def _check_chaos_seed(
-    seed: int,
-    *,
-    scheme_filter: Optional[frozenset] = None,
-    retries: int = 1,
-    cycle_limit: int = CHAOS_CYCLE_LIMIT,
-    audit: bool = True,
-) -> Tuple[str, Any]:
-    """Run one campaign seed with retries; the unit of campaign work.
+def _chaos_unit(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
+    """Campaign unit (see :mod:`repro.parallel.campaign`): one seed,
+    with retries.
 
-    Returns ``("skip", None)`` when the scheme filter gates the seed,
-    ``("run", ChaosRun)`` for a completed case, or ``("infra", detail)``
-    after the retry budget is spent on :class:`CampaignError`.  Both the
-    serial loop and the parallel shard worker call this, so the two
-    paths classify (and count) identically.
+    The record's ``kind`` is ``"skip"`` when the scheme filter gates the
+    seed, ``"run"`` for a completed case (``run`` holds it), or
+    ``"infra"`` after the retry budget is spent on
+    :class:`CampaignError` (``detail`` holds the last error).
     """
     spec = schedule = None
-    if scheme_filter is not None:
+    if config["schemes"] is not None:
         spec, _ = generate_fuzz_program(seed)
         schedule = generate_fault_schedule(seed, spec)
-        if schedule.scheme not in scheme_filter:
-            return ("skip", None)
+        if schedule.scheme not in config["schemes"]:
+            return {"kind": "skip", "run": None, "detail": ""}
     last_error = ""
-    for _attempt in range(1 + max(0, retries)):
+    for _attempt in range(1 + max(0, config["retries"])):
         try:
             run = run_chaos_case(
                 seed, spec=spec, schedule=schedule,
-                cycle_limit=cycle_limit, audit=audit,
+                cycle_limit=config["cycle_limit"], audit=config["audit"],
             )
         except CampaignError as error:
             last_error = str(error)
@@ -497,43 +487,8 @@ def _check_chaos_seed(
                 "chaos_violations_total", len(run.violations),
                 help="chaos invariant violations",
             )
-        return ("run", run)
-    return ("infra", last_error)
-
-
-def _chaos_shard_worker(config: Dict[str, Any], seeds, attempt: int):
-    """Process-pool entry point: run one shard's chaos seeds.
-
-    Module-level (picklable by reference).  Returns plain data — each
-    seed's classification in artifact form plus the telemetry delta
-    accumulated while running the shard.
-    """
-    schemes = config["schemes"]
-    scheme_filter = frozenset(schemes) if schemes else None
-    before = telemetry.snapshot()
-    cases = []
-    for seed in seeds:
-        kind, payload = _check_chaos_seed(
-            seed,
-            scheme_filter=scheme_filter,
-            retries=config["retries"],
-            cycle_limit=config["cycle_limit"],
-            audit=config["audit"],
-        )
-        cases.append({
-            "seed": seed,
-            "kind": kind,
-            "run": payload.to_json() if kind == "run" else None,
-            "detail": payload if kind == "infra" else "",
-        })
-    return {"cases": cases, "telemetry": telemetry.delta(before)}
-
-
-def _finalize(report: ChaosReport) -> ChaosReport:
-    """Impose the canonical (seed) order both execution paths share."""
-    report.runs.sort(key=lambda run: (run.seed, run.case))
-    report.infra_errors.sort()
-    return report
+        return {"kind": "run", "run": run.to_json(), "detail": ""}
+    return {"kind": "infra", "run": None, "detail": last_error}
 
 
 def run_campaign(
@@ -566,156 +521,67 @@ def run_campaign(
       ``report.shard_attempts``.
     * ``deadline`` — wall-clock budget in seconds; exceeding it stops the
       campaign with ``timed_out`` set (exit code 4 at the CLI).
-    * ``checkpoint_path``/``resume`` — JSON checkpoint written after every
-      case (``jobs > 1``: after every shard); resuming skips seeds
-      already completed.
+    * ``checkpoint_path``/``resume`` — checkpoint written after every
+      case (``jobs > 1``: after every shard); resuming skips every seed
+      the checkpoint holds — run, infrastructure error or filtered out.
+      The checkpoint's identity (base seed, scheme filter, cycle limit,
+      retries, audit) must match this call, or :class:`CampaignError`
+      is raised; the budget may grow.
     * ``jobs`` — process-pool width.  The shard plan depends only on the
-      budget and the report is finalised in seed order, so any ``jobs``
+      budget and the report is built in seed order, so any ``jobs``
       value produces a bit-identical report.  A shard whose worker dies
-      is retried once, then every seed it carried is recorded as an
-      infrastructure error — never silently dropped.
+      is retried, then every seed it carried is recorded as an
+      infrastructure error — never silently dropped, never
+      checkpointed (a resume runs it again).
     """
-    report = ChaosReport(budget=budget, base_seed=base_seed)
-    if resume and checkpoint_path:
-        try:
-            with open(checkpoint_path, "r", encoding="utf-8") as handle:
-                report = ChaosReport.from_json(json.load(handle))
-            report.budget = budget
-            report.base_seed = base_seed
-            report.timed_out = False
-            if progress:
-                progress(f"resumed: {len(report.runs)} case(s) already done")
-        except FileNotFoundError:
-            pass
-
-    scheme_filter = frozenset(schemes) if schemes else None
-    done = report.completed_seeds
-
-    def checkpoint() -> None:
-        # Atomic: a kill mid-dump leaves the previous checkpoint intact.
-        if checkpoint_path:
-            tmp = f"{checkpoint_path}.tmp"
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(report.to_json(), handle, indent=2)
-            os.replace(tmp, checkpoint_path)
-
-    if jobs > 1:
-        return _run_campaign_parallel(
-            report, jobs=jobs, retries=retries,
-            shard_retries=shard_retries, deadline=deadline,
-            scheme_filter=scheme_filter, cycle_limit=cycle_limit,
-            audit=audit, progress=progress, checkpoint=checkpoint,
-        )
-
-    started = time.monotonic()
-    for index in range(budget):
-        seed = base_seed + index
-        if seed in done:
-            continue
-        if deadline is not None and time.monotonic() - started > deadline:
-            report.timed_out = True
-            if progress:
-                progress(f"deadline hit after {len(report.runs)} case(s)")
-            break
-        kind, payload = _check_chaos_seed(
-            seed, scheme_filter=scheme_filter, retries=retries,
-            cycle_limit=cycle_limit, audit=audit,
-        )
-        if kind == "skip":
-            continue
-        if kind == "run":
-            report.runs.append(payload)
-            if not payload.ok and progress:
-                progress(f"seed {seed}: {len(payload.violations)} violation(s)")
-        else:
-            report.infra_errors.append((seed, payload))
-            if progress:
-                progress(f"seed {seed}: infrastructure error: {payload}")
-        checkpoint()
-        if progress and (index + 1) % 25 == 0:
-            progress(f"{index + 1}/{budget} schedules done")
-    return _finalize(report)
-
-
-def _run_campaign_parallel(
-    report: ChaosReport,
-    *,
-    jobs: int,
-    retries: int,
-    shard_retries: int,
-    deadline: Optional[float],
-    scheme_filter: Optional[frozenset],
-    cycle_limit: int,
-    audit: bool,
-    progress: Optional[Callable[[str], None]],
-    checkpoint: Callable[[], None],
-) -> ChaosReport:
-    """Sharded branch of :func:`run_campaign` (same report, any jobs)."""
-    from ..parallel import STATUS_FAILED, plan_shards, run_shards
+    from ..parallel import Checkpoint, run_units
 
     config = {
-        "schemes": sorted(scheme_filter) if scheme_filter else None,
+        "schemes": sorted(set(schemes)) if schemes else None,
         "retries": retries,
         "cycle_limit": cycle_limit,
         "audit": audit,
     }
-    shards = plan_shards(
-        report.base_seed, report.budget, skip=report.completed_seeds
-    )
-    deltas: Dict[int, Dict[str, Any]] = {}
+    checkpoint = None
+    if checkpoint_path:
+        checkpoint = Checkpoint(
+            checkpoint_path, "chaos", {"base_seed": base_seed, **config},
+            resume=resume,
+        )
 
-    def merge(outcome) -> None:
-        if outcome.attempts > 1:
-            first, last = outcome.shard.seeds[0], outcome.shard.seeds[-1]
-            report.shard_attempts[f"{first}..{last}"] = outcome.attempts
-        if outcome.ok:
-            for item in outcome.value["cases"]:
-                if item["kind"] == "run":
-                    run = ChaosRun.from_json(item["run"])
-                    report.runs.append(run)
-                    if not run.ok and progress:
-                        progress(
-                            f"seed {run.seed}: "
-                            f"{len(run.violations)} violation(s)"
-                        )
-                elif item["kind"] == "infra":
-                    report.infra_errors.append((item["seed"], item["detail"]))
-                    if progress:
-                        progress(
-                            f"seed {item['seed']}: infrastructure error: "
-                            f"{item['detail']}"
-                        )
-            deltas[outcome.shard.index] = outcome.value["telemetry"]
-        elif outcome.status == STATUS_FAILED:
-            for seed in outcome.shard.seeds:
-                report.infra_errors.append((
-                    seed,
-                    f"worker lost shard {outcome.shard.index} after "
-                    f"{outcome.attempts} attempt(s): {outcome.error}",
-                ))
-            if progress:
-                progress(
-                    f"shard {outcome.shard.index}: worker lost "
-                    f"({outcome.error})"
-                )
-        # skipped shards (deadline) stay absent: their seeds are
-        # resumable, exactly like seeds after a serial deadline break.
-        checkpoint()
+    def notice(seed: int, record: Dict[str, Any]) -> None:
+        if record["kind"] == "infra":
+            progress(f"seed {seed}: infrastructure error: {record['detail']}")
+        elif record["kind"] == "run" and record["run"]["violations"]:
+            progress(
+                f"seed {seed}: "
+                f"{len(record['run']['violations'])} violation(s)"
+            )
 
-    _outcomes, timed_out = run_shards(
-        _chaos_shard_worker, config, shards, jobs=jobs,
-        retries=shard_retries, deadline=deadline, on_result=merge,
+    result = run_units(
+        _chaos_unit, config, base_seed, budget,
+        jobs=jobs, shard_retries=shard_retries, deadline=deadline,
+        checkpoint=checkpoint, on_record=notice if progress else None,
+        progress=progress,
     )
-    report.timed_out = timed_out
-    if timed_out and progress:
+    report = ChaosReport(
+        budget=budget, base_seed=base_seed, timed_out=result.timed_out,
+        shard_attempts=result.shard_attempts,
+    )
+    for seed, record in result.records.items():
+        if record["kind"] == "run":
+            report.runs.append(ChaosRun.from_json(record["run"]))
+        elif record["kind"] == "infra":
+            report.infra_errors.append((seed, record["detail"]))
+    for lost in result.lost:
+        report.infra_errors.extend(
+            (seed, f"worker lost shard {lost.index} after "
+                   f"{lost.attempts} attempt(s): {lost.error}")
+            for seed in lost.seeds
+        )
+    report.infra_errors.sort()
+    if report.timed_out and progress:
         progress(f"deadline hit after {len(report.runs)} case(s)")
-    merged = telemetry.Snapshot()
-    for index in sorted(deltas):
-        merged = merged.merge(telemetry.Snapshot(deltas[index]))
-    if merged:
-        telemetry.absorb(merged)
-    _finalize(report)
-    checkpoint()
     return report
 
 

@@ -30,8 +30,6 @@ Report metrics, all derived from deterministic simulated state:
 
 from __future__ import annotations
 
-import json
-import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -40,7 +38,6 @@ from .. import telemetry
 from ..attacks.byte_by_byte import byte_by_byte_attack
 from ..attacks.leak import CanarySniffer
 from ..attacks.payloads import PayloadBuilder, frame_map
-from ..errors import CampaignError
 from ..faults.plane import FaultPlane
 from ..faults.schedule import FaultSchedule, generate_fleet_fault_schedule
 from ..harness.metrics import CLOCK_HZ
@@ -849,102 +846,33 @@ def _slice_budget(
     return max(0, min(slice_requests, request_budget - start))
 
 
-def _fleet_shard_worker(config: Dict[str, Any], seeds, attempt: int):
-    """Process-pool entry point: serve one shard's slices."""
-    before = telemetry.snapshot()
-    traffic = TrafficConfig.from_json(config["traffic"])
-    supervision = SupervisorConfig.from_json(config["supervision"])
-    trace_config = config.get("trace")
-    slices = []
-    traces = []
-    for seed in seeds:
-        index = seed - config["base_seed"]
-        tracer = None
-        if trace_config is not None:
-            tracer = SliceTracer(
-                config["scheme"], seed,
-                config=TraceConfig.from_json(trace_config),
-                chaos_seed=config["chaos_seed"],
-            )
-        record = run_fleet_slice(
+def _fleet_unit(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
+    """Campaign unit (see :mod:`repro.parallel.campaign`): serve one
+    slice.  The record holds the slice and, when tracing, its trace —
+    so a checkpointed slice keeps its spans and bundles."""
+    tracer = None
+    if config["trace"] is not None:
+        tracer = SliceTracer(
             config["scheme"], seed,
-            config=traffic,
-            request_budget=_slice_budget(
-                config["request_budget"], config["slice_requests"], index
-            ),
-            audit=config["audit"],
-            supervision=supervision,
+            config=TraceConfig.from_json(config["trace"]),
             chaos_seed=config["chaos_seed"],
-            tracer=tracer,
         )
-        slices.append(record.to_json())
-        if tracer is not None:
-            traces.append(tracer.trace.to_json())
+    record = run_fleet_slice(
+        config["scheme"], seed,
+        config=TrafficConfig.from_json(config["traffic"]),
+        request_budget=_slice_budget(
+            config["request_budget"], config["slice_requests"],
+            seed - config["base_seed"],
+        ),
+        audit=config["audit"],
+        supervision=SupervisorConfig.from_json(config["supervision"]),
+        chaos_seed=config["chaos_seed"],
+        tracer=tracer,
+    )
     return {
-        "slices": slices, "traces": traces,
-        "telemetry": telemetry.delta(before),
+        "slice": record.to_json(),
+        "trace": None if tracer is None else tracer.trace.to_json(),
     }
-
-
-# -- checkpoint/resume -------------------------------------------------------
-
-#: Format marker for fleet checkpoints; bumped on incompatible change.
-CHECKPOINT_VERSION = 1
-
-
-def _checkpoint_header(report: FleetReport) -> Dict[str, Any]:
-    return {
-        "version": CHECKPOINT_VERSION,
-        "kind": "fleet-checkpoint",
-        "base_seed": report.base_seed,
-        "request_budget": report.request_budget,
-        "slice_requests": report.slice_requests,
-        "config": report.config.to_json(),
-        "schemes": list(report.schemes),
-        "chaos_seed": report.chaos_seed,
-        "supervision": report.supervision.to_json(),
-    }
-
-
-def _write_checkpoint(path: str, payload: Dict[str, Any]) -> None:
-    """Atomic write: a kill can only ever leave the previous checkpoint."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as handle:
-        json.dump(payload, handle)
-        handle.write("\n")
-    os.replace(tmp, path)
-
-
-def _load_checkpoint(
-    path: str, header: Dict[str, Any]
-) -> Dict[str, Dict[int, FleetSlice]]:
-    """Load completed slices from ``path``; {} when no checkpoint exists.
-
-    The checkpoint is only valid for the exact campaign it was written
-    by — seeds, budgets, traffic config, scheme set, chaos seed, and
-    supervision knobs must all match, or resuming would stitch slices
-    from two different campaigns into one report.
-    """
-    if not os.path.exists(path):
-        return {}
-    try:
-        data = json.loads(open(path).read())
-    except (OSError, ValueError) as error:
-        raise CampaignError(f"unreadable checkpoint {path}: {error}")
-    for key, want in header.items():
-        got = data.get(key)
-        if got != want:
-            raise CampaignError(
-                f"checkpoint {path} does not match this campaign: "
-                f"{key} is {got!r}, expected {want!r}"
-            )
-    completed: Dict[str, Dict[int, FleetSlice]] = {}
-    for scheme, slices in data.get("slices", {}).items():
-        completed[scheme] = {
-            int(seed): FleetSlice.from_json(record)
-            for seed, record in slices.items()
-        }
-    return completed
 
 
 def run_fleet(
@@ -982,14 +910,20 @@ def run_fleet(
     each slice or shard); ``resume=True`` skips the slices a previous —
     possibly killed — run already completed, under any ``jobs`` value,
     and the finished report is byte-identical to an uninterrupted run.
+    The checkpoint must come from the same campaign (seeds, budgets,
+    traffic, schemes, chaos seed, supervision, audit, trace config), or
+    :class:`~repro.errors.CampaignError` is raised.
 
     ``trace`` arms a :class:`~repro.trace.SliceTracer` per slice and
     collects the campaign's :class:`~repro.trace.CampaignTrace` on the
     returned report's ``trace`` attribute, slices in scheme × seed order
     under any ``jobs`` value, so the exported trace is byte-identical to
-    a serial run.  Tracing refuses checkpoints: a resumed campaign skips
-    completed slices, so their spans could never be re-recorded.
+    a serial run.  Each slice's trace is checkpointed with the slice, so
+    a resumed traced campaign exports the same trace as an
+    uninterrupted one.
     """
+    from ..parallel import Checkpoint, run_units
+
     if request_budget < 1:
         raise ValueError("request_budget must be >= 1")
     if slice_requests < 1:
@@ -998,11 +932,6 @@ def run_fleet(
         raise ValueError("shard_retries must be >= 0")
     if resume and not checkpoint_path:
         raise ValueError("resume requires a checkpoint path")
-    if trace is not None and (checkpoint_path or resume):
-        raise ValueError(
-            "tracing cannot be combined with checkpoint/resume: slices "
-            "skipped on resume would leave holes in the trace"
-        )
     if trace is not None and not telemetry.enabled():
         # Span canary attribution reads counters; shard workers always
         # boot with telemetry on, so the serial path must match or the
@@ -1029,164 +958,73 @@ def run_fleet(
     if trace is not None:
         report.trace = CampaignTrace(config=trace)
     num_slices = -(-request_budget // slice_requests)
-
-    header = _checkpoint_header(report)
-    completed: Dict[str, Dict[int, FleetSlice]] = {}
-    if resume and checkpoint_path:
-        completed = _load_checkpoint(checkpoint_path, header)
-    checkpoint_state: Dict[str, Dict[str, Any]] = {
-        scheme: {
-            str(seed): record.to_json() for seed, record in by_seed.items()
-        }
-        for scheme, by_seed in completed.items()
+    campaign = {
+        "base_seed": base_seed,
+        "request_budget": request_budget,
+        "slice_requests": slice_requests,
+        "traffic": config.to_json(),
+        "audit": audit,
+        "supervision": supervision.to_json(),
+        "chaos_seed": effective_chaos_seed,
+        "trace": None if trace is None else trace.to_json(),
     }
-
-    def save_checkpoint() -> None:
-        if checkpoint_path:
-            _write_checkpoint(
-                checkpoint_path, {**header, "slices": checkpoint_state}
-            )
-
-    save_checkpoint()
+    checkpoint = None
+    if checkpoint_path:
+        checkpoint = Checkpoint(
+            checkpoint_path, "fleet",
+            {**campaign, "schemes": list(report.schemes)}, resume=resume,
+        )
 
     for scheme in report.schemes:
         scheme_report = FleetSchemeReport(
             scheme=scheme, base_seed=base_seed,
             request_budget=request_budget, slice_requests=slice_requests,
         )
-        collected: Dict[int, FleetSlice] = dict(completed.get(scheme, {}))
-        scheme_state = checkpoint_state.setdefault(scheme, {})
-        pending = [
-            index for index in range(num_slices)
-            if base_seed + index not in collected
-        ]
         before_scheme = telemetry.snapshot() if audit else {}
-        if jobs <= 1:
-            for done, index in enumerate(pending):
-                seed = base_seed + index
-                tracer = None
-                if trace is not None:
-                    tracer = SliceTracer(
-                        scheme, seed, config=trace,
-                        chaos_seed=effective_chaos_seed,
-                    )
-                record = run_fleet_slice(
-                    scheme, seed,
-                    config=config,
-                    request_budget=_slice_budget(
-                        request_budget, slice_requests, index
-                    ),
-                    audit=audit,
-                    supervision=supervision,
-                    chaos_seed=effective_chaos_seed,
-                    tracer=tracer,
-                )
-                if tracer is not None:
-                    report.trace.slices.append(tracer.trace)
-                collected[seed] = record
-                scheme_state[str(seed)] = record.to_json()
-                save_checkpoint()
-                if progress and (done + 1) % 8 == 0:
-                    progress(
-                        f"{scheme}: {done + 1}/{len(pending)} slice(s)"
-                    )
-        else:
-            from ..parallel import plan_shards, run_shards
-
-            worker_config = {
-                "scheme": scheme,
-                "traffic": config.to_json(),
-                "base_seed": base_seed,
-                "request_budget": request_budget,
-                "slice_requests": slice_requests,
-                "audit": audit,
-                "supervision": supervision.to_json(),
-                "chaos_seed": effective_chaos_seed,
-                "trace": None if trace is None else trace.to_json(),
-            }
-            shards = plan_shards(
-                base_seed, num_slices, skip=set(collected)
-            )
-
-            def on_result(outcome) -> None:
-                if outcome.ok:
-                    for record in outcome.value["slices"]:
-                        scheme_state[str(record["seed"])] = record
-                    save_checkpoint()
-                if progress:
-                    progress(
-                        f"{scheme}: shard {outcome.shard.index} "
-                        f"({len(outcome.shard)} slice(s)) "
-                        f"{'done' if outcome.ok else outcome.status}"
-                    )
-
-            outcomes, _ = run_shards(
-                _fleet_shard_worker, worker_config, shards, jobs=jobs,
-                retries=shard_retries,
-                on_result=on_result,
-            )
-            deltas = []
-            trace_by_seed: Dict[int, SliceTrace] = {}
-            for outcome in outcomes:
-                if outcome.ok:
-                    for raw in outcome.value["slices"]:
-                        record = FleetSlice.from_json(raw)
-                        collected[record.seed] = record
-                    for raw_trace in outcome.value.get("traces", []):
-                        slice_trace = SliceTrace.from_json(raw_trace)
-                        trace_by_seed[slice_trace.seed] = slice_trace
-                    deltas.append(outcome.value["telemetry"])
-                else:
-                    scheme_report.lost.extend(outcome.shard.seeds)
-                    if report.trace is not None:
-                        lost_seeds = [int(s) for s in outcome.shard.seeds]
-                        bundle = build_lost_bundle(scheme, lost_seeds, {
-                            "traffic": config.to_json(),
-                            "request_budget": slice_requests,
-                            "supervision": supervision.to_json(),
-                            "chaos_seed": effective_chaos_seed,
-                        })
-                        bundle["budgets"] = {
-                            str(s): _slice_budget(
-                                request_budget, slice_requests, s - base_seed
-                            )
-                            for s in lost_seeds
-                        }
-                        report.trace.lost_bundles.append(bundle)
-                requeues = max(0, outcome.attempts - 1)
-                if requeues:
-                    seeds = outcome.shard.seeds
-                    span = f"{seeds[0]}..{seeds[-1]}"
-                    scheme_report.shard_attempts[span] = outcome.attempts
-                    scheme_report.slices_retried += requeues * len(seeds)
-            if scheme_report.slices_retried:
-                telemetry.count(
-                    RETRY_COUNTER,
-                    delta=scheme_report.slices_retried,
-                    help="fleet slices re-queued after a lost shard worker",
-                )
+        result = run_units(
+            _fleet_unit, {**campaign, "scheme": scheme}, base_seed, num_slices,
+            jobs=jobs, shard_retries=shard_retries,
+            checkpoint=checkpoint, prefix=f"{scheme}/",
+            progress=(
+                (lambda line, scheme=scheme: progress(f"{scheme}: {line}"))
+                if progress else None
+            ),
+        )
+        for record in result.records.values():
+            scheme_report.slices.append(FleetSlice.from_json(record["slice"]))
             if report.trace is not None:
-                # Seed order, regardless of shard completion order — the
-                # jobs-N trace must be byte-identical to a serial run.
-                report.trace.slices.extend(
-                    trace_by_seed[seed] for seed in sorted(trace_by_seed)
-                )
-            merged = telemetry.Snapshot()
-            for delta in deltas:
-                merged = merged.merge(telemetry.Snapshot(delta))
-            telemetry.absorb(merged)
-            if audit:
-                got = _counter(
-                    telemetry.delta(before_scheme), RETRY_COUNTER
-                )
-                if got != scheme_report.slices_retried:
-                    scheme_report.campaign_divergences.append(
-                        f"{RETRY_COUNTER}: report says "
-                        f"{scheme_report.slices_retried}, counters say {got}"
+                report.trace.slices.append(SliceTrace.from_json(record["trace"]))
+        for lost in result.lost:
+            scheme_report.lost.extend(lost.seeds)
+            if report.trace is not None:
+                bundle = build_lost_bundle(scheme, list(lost.seeds), {
+                    "traffic": config.to_json(),
+                    "request_budget": slice_requests,
+                    "supervision": supervision.to_json(),
+                    "chaos_seed": effective_chaos_seed,
+                })
+                bundle["budgets"] = {
+                    str(s): _slice_budget(
+                        request_budget, slice_requests, s - base_seed
                     )
-        scheme_report.slices = [
-            collected[seed] for seed in sorted(collected)
-        ]
+                    for s in lost.seeds
+                }
+                report.trace.lost_bundles.append(bundle)
+        scheme_report.shard_attempts = result.shard_attempts
+        scheme_report.slices_retried = result.retried
+        if scheme_report.slices_retried:
+            telemetry.count(
+                RETRY_COUNTER,
+                delta=scheme_report.slices_retried,
+                help="fleet slices re-queued after a lost shard worker",
+            )
+        if audit:
+            got = _counter(telemetry.delta(before_scheme), RETRY_COUNTER)
+            if got != scheme_report.slices_retried:
+                scheme_report.campaign_divergences.append(
+                    f"{RETRY_COUNTER}: report says "
+                    f"{scheme_report.slices_retried}, counters say {got}"
+                )
         report.reports.append(scheme_report)
         if progress:
             row = scheme_report.summary()

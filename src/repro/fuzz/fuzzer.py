@@ -253,8 +253,8 @@ def _shrink_failure(
 class SeedCheck:
     """The outcome of checking one seed — the unit of campaign work.
 
-    Serial campaigns, parallel shard workers, and ``--replay`` all go
-    through :func:`_check_one`, so the three paths cannot drift.
+    Campaign units (:func:`_fuzz_unit`) and ``--replay`` both go
+    through :func:`_check_one`, so the two paths cannot drift.
     """
 
     seed: int
@@ -308,40 +308,21 @@ def _check_one(
     return SeedCheck(seed, spec, source, tuple(selected), tuple(gated), failure)
 
 
-def _merge_check(report: FuzzReport, check: SeedCheck) -> None:
-    """Fold one seed's outcome into the campaign report (in seed order)."""
-    for scheme in check.gated:
-        report.skipped[scheme] = report.skipped.get(scheme, 0) + 1
-    report.programs_checked += 1
-    report.runs += 2 * len(check.selected)
-    if check.failure is not None:
-        report.failures.append(check.failure)
-
-
-def _fuzz_shard_worker(config: Dict[str, object], seeds, attempt: int):
-    """Process-pool entry point: check one shard's seeds.
-
-    Module-level (picklable by reference).  Returns plain data only —
-    seed outcomes in artifact form plus the telemetry delta accumulated
-    while checking, so the parent can merge counts deterministically.
-    """
-    before = telemetry.snapshot()
-    checks = []
-    for seed in seeds:
-        check = _check_one(
-            seed,
-            schemes=tuple(config["schemes"]),
-            cycle_limit=config["cycle_limit"],
-            shrink=config["shrink"],
-            max_shrink_checks=config["max_shrink_checks"],
-        )
-        checks.append({
-            "seed": seed,
-            "selected": list(check.selected),
-            "gated": list(check.gated),
-            "failure": check.failure.to_json() if check.failure else None,
-        })
-    return {"checks": checks, "telemetry": telemetry.delta(before)}
+def _fuzz_unit(config: Dict[str, object], seed: int) -> Dict[str, object]:
+    """Campaign unit (see :mod:`repro.parallel.campaign`): check one
+    seed and return its outcome in artifact form."""
+    check = _check_one(
+        seed,
+        schemes=tuple(config["schemes"]),
+        cycle_limit=config["cycle_limit"],
+        shrink=config["shrink"],
+        max_shrink_checks=config["max_shrink_checks"],
+    )
+    return {
+        "selected": list(check.selected),
+        "gated": list(check.gated),
+        "failure": check.failure.to_json() if check.failure else None,
+    }
 
 
 def run_fuzz(
@@ -360,13 +341,15 @@ def run_fuzz(
     """Run a deterministic campaign of ``budget`` generated programs.
 
     ``jobs > 1`` shards the seed range across a process pool; the shard
-    plan depends only on the budget and results merge in shard order,
+    plan depends only on the budget and results merge in seed order,
     so the report is bit-identical to a ``jobs=1`` run.  A shard whose
     worker dies is re-queued ``shard_retries`` times and then recorded
     as a ``worker-lost`` health failure — never silently dropped.
     Shards that needed more than one attempt land in
     ``report.shard_attempts``.
     """
+    from ..parallel import run_units
+
     schemes = tuple(schemes)
     report = FuzzReport(budget=budget, base_seed=base_seed, schemes=schemes)
 
@@ -376,27 +359,11 @@ def run_fuzz(
         if report.health_failures and progress:
             progress(f"{len(report.health_failures)} scheme-health failure(s)")
 
-    if jobs <= 1:
-        for index in range(budget):
-            check = _check_one(
-                base_seed + index,
-                schemes=schemes,
-                cycle_limit=cycle_limit,
-                shrink=shrink,
-                max_shrink_checks=max_shrink_checks,
+    def notice(seed: int, record: Dict[str, object]) -> None:
+        if record["failure"] is not None:
+            progress(
+                f"seed {seed}: {len(record['failure']['failures'])} failure(s)"
             )
-            _merge_check(report, check)
-            if check.failure is not None:
-                if progress:
-                    progress(
-                        f"seed {check.seed}: "
-                        f"{len(check.failure.failures)} failure(s)"
-                    )
-            elif progress and (index + 1) % 25 == 0:
-                progress(f"{index + 1}/{budget} programs clean")
-        return report
-
-    from ..parallel import plan_shards, run_shards
 
     config = {
         "schemes": list(schemes),
@@ -404,53 +371,29 @@ def run_fuzz(
         "shrink": shrink,
         "max_shrink_checks": max_shrink_checks,
     }
-    shards = plan_shards(base_seed, budget)
-    outcomes, _ = run_shards(
-        _fuzz_shard_worker, config, shards, jobs=jobs, retries=shard_retries,
-        on_result=(
-            (lambda outcome: progress(
-                f"shard {outcome.shard.index}: {len(outcome.shard)} seed(s) "
-                f"{'done' if outcome.ok else outcome.status}"
-            )) if progress else None
-        ),
+    result = run_units(
+        _fuzz_unit, config, base_seed, budget,
+        jobs=jobs, shard_retries=shard_retries,
+        on_record=notice if progress else None, progress=progress,
     )
-    deltas = []
-    for outcome in outcomes:
-        if outcome.attempts > 1:
-            first, last = outcome.shard.seeds[0], outcome.shard.seeds[-1]
-            report.shard_attempts[f"{first}..{last}"] = outcome.attempts
-        if outcome.ok:
-            for item in outcome.value["checks"]:
-                check = SeedCheck(
-                    seed=item["seed"],
-                    spec=None,  # only the merge-relevant fields are needed
-                    source="",
-                    selected=tuple(item["selected"]),
-                    gated=tuple(item["gated"]),
-                    failure=(
-                        FuzzFailure.from_json(item["failure"])
-                        if item["failure"] else None
-                    ),
-                )
-                _merge_check(report, check)
-            deltas.append(outcome.value["telemetry"])
-        else:
-            first, last = outcome.shard.seeds[0], outcome.shard.seeds[-1]
-            report.health_failures.append(ConformanceFailure(
-                kind="worker-lost",
-                scheme="-",
-                path="-",
-                detail=(
-                    f"shard {outcome.shard.index} "
-                    f"(seeds {first}..{last}) lost after "
-                    f"{outcome.attempts} attempt(s): {outcome.error}"
-                ),
-            ))
-    merged = telemetry.Snapshot()
-    for delta in deltas:
-        merged = merged.merge(telemetry.Snapshot(delta))
-    if merged:
-        telemetry.absorb(merged)
+    for record in result.records.values():
+        for scheme in record["gated"]:
+            report.skipped[scheme] = report.skipped.get(scheme, 0) + 1
+        report.programs_checked += 1
+        report.runs += 2 * len(record["selected"])
+        if record["failure"] is not None:
+            report.failures.append(FuzzFailure.from_json(record["failure"]))
+    for lost in result.lost:
+        report.health_failures.append(ConformanceFailure(
+            kind="worker-lost",
+            scheme="-",
+            path="-",
+            detail=(
+                f"shard {lost.index} (seeds {lost.seeds[0]}..{lost.seeds[-1]}) "
+                f"lost after {lost.attempts} attempt(s): {lost.error}"
+            ),
+        ))
+    report.shard_attempts = result.shard_attempts
     return report
 
 

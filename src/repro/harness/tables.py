@@ -480,50 +480,33 @@ int main() { return 0; }
 
 
 #: The §VI-C attack grid in canonical order: (server, scheme) cells.
-#: Indexed by the parallel shard plan, so cell ``i`` is the same work
-#: for any ``jobs`` value.
+#: Cell ``i`` is campaign unit ``i``, the same work for any ``jobs``.
 _EFFECTIVENESS_CELLS: Tuple[Tuple[str, str], ...] = (
     ("nginx", "ssp"), ("nginx", "pssp"), ("ali", "ssp"), ("ali", "pssp"),
 )
 
 
-def _effectiveness_cell(
-    server_name: str, scheme: str, *, seed: int, max_trials: int
-) -> EffectivenessRow:
-    """Attack one (server, scheme) cell; the unit of §VI-C work."""
+def _effectiveness_unit(config: Dict[str, object], index: int) -> Dict[str, object]:
+    """Campaign unit (see :mod:`repro.parallel.campaign`): attack one
+    (server, scheme) cell of the §VI-C grid."""
+    server_name, scheme = _EFFECTIVENESS_CELLS[index]
     source = ATTACK_VICTIM_SOURCE if server_name == "nginx" else ALI_SOURCE
-    kernel = Kernel(seed)
+    kernel = Kernel(config["seed"])
     binary = build(source, scheme, name=server_name)
     parent, _ = deploy(kernel, binary, scheme)
     server = ForkingServer(kernel, parent)
     frame = frame_map(binary, "handler")
     before = telemetry.snapshot()
-    report = byte_by_byte_attack(server, frame, max_trials=max_trials)
+    report = byte_by_byte_attack(server, frame, max_trials=config["max_trials"])
     delta = telemetry.delta(before)
     smashes = int(delta.get("canary_smashes_detected_total", 0) or 0)
-    return EffectivenessRow(
-        server_name, scheme, report.success, report.trials, smashes
-    )
-
-
-def _effectiveness_worker(config: Dict[str, object], indices, attempt: int):
-    """Process-pool entry point: attack one shard's grid cells."""
-    before = telemetry.snapshot()
-    rows = []
-    for index in indices:
-        server_name, scheme = _EFFECTIVENESS_CELLS[index]
-        row = _effectiveness_cell(
-            server_name, scheme,
-            seed=config["seed"], max_trials=config["max_trials"],
-        )
-        rows.append({
-            "server": row.server,
-            "scheme": row.scheme,
-            "attack_succeeded": row.attack_succeeded,
-            "trials": row.trials,
-            "smashes_detected": row.smashes_detected,
-        })
-    return {"rows": rows, "telemetry": telemetry.delta(before)}
+    return {
+        "server": server_name,
+        "scheme": scheme,
+        "attack_succeeded": report.success,
+        "trials": report.trials,
+        "smashes_detected": smashes,
+    }
 
 
 def effectiveness(
@@ -540,42 +523,17 @@ def effectiveness(
     the report matches a serial run exactly.  A cell whose worker died
     is re-run in-process — the grid is never left incomplete.
     """
-    rows: List[EffectivenessRow] = []
-    if jobs <= 1:
-        for server_name, scheme in _EFFECTIVENESS_CELLS:
-            rows.append(_effectiveness_cell(
-                server_name, scheme, seed=seed, max_trials=max_trials
-            ))
-    else:
-        from ..parallel import plan_shards, run_shards
+    from ..parallel import run_units
 
-        config = {"seed": seed, "max_trials": max_trials}
-        shards = plan_shards(0, len(_EFFECTIVENESS_CELLS))
-        outcomes, _ = run_shards(
-            _effectiveness_worker, config, shards, jobs=jobs, retries=1,
-        )
-        merged = telemetry.Snapshot()
-        for outcome in outcomes:
-            if outcome.ok:
-                rows.extend(
-                    EffectivenessRow(
-                        row["server"], row["scheme"],
-                        row["attack_succeeded"], row["trials"],
-                        row["smashes_detected"],
-                    )
-                    for row in outcome.value["rows"]
-                )
-                merged = merged.merge(
-                    telemetry.Snapshot(outcome.value["telemetry"])
-                )
-            else:
-                for index in outcome.shard.seeds:
-                    server_name, scheme = _EFFECTIVENESS_CELLS[index]
-                    rows.append(_effectiveness_cell(
-                        server_name, scheme, seed=seed, max_trials=max_trials
-                    ))
-        if merged:
-            telemetry.absorb(merged)
+    config = {"seed": seed, "max_trials": max_trials}
+    result = run_units(
+        _effectiveness_unit, config, 0, len(_EFFECTIVENESS_CELLS), jobs=jobs,
+    )
+    records = dict(result.records)
+    for lost in result.lost:
+        for index in lost.seeds:
+            records[index] = _effectiveness_unit(config, index)
+    rows = [EffectivenessRow(**records[index]) for index in sorted(records)]
 
     # Compatibility: P-SSP-compiled program calling SSP-compiled "library"
     # code, and vice versa, running under the P-SSP preload.  The paper's

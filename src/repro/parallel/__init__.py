@@ -13,6 +13,10 @@ contract that one seed reproduces one case bit-for-bit:
   runner: bounded in-flight work, per-shard timeout, one re-queue for
   a crashed worker's slice, then an explicit infra failure — never a
   silently dropped seed.  Results come back in canonical shard order.
+* :mod:`repro.parallel.campaign` — the one campaign engine: every
+  campaign kind hands it a ``unit(config, seed) -> record`` function
+  and gets back seed-ordered records, typed lost shards and the
+  ``shard_attempts`` map; it also owns the one checkpoint format.
 * :mod:`repro.parallel.buildcache` — content-addressed cache of
   compiled images keyed by ``hash(source, scheme, toolchain)``, so
   fast/slow differential pairs, reference/faulted twins, and shrinking
@@ -36,6 +40,13 @@ from .buildcache import (
     build_cache,
     reset_build_cache,
     toolchain_fingerprint,
+)
+from .campaign import (
+    CHECKPOINT_VERSION,
+    Checkpoint,
+    LostShard,
+    UnitResults,
+    run_units,
 )
 from .executor import (
     STATUS_FAILED,
@@ -71,6 +82,8 @@ __all__ = [
     "SnapshotCache", "image_cache", "reset_image_cache",
     "directory_stats", "DEFAULT_MAX_IMAGES",
     "ShardOutcome", "run_shards",
+    "Checkpoint", "LostShard", "UnitResults", "run_units",
+    "CHECKPOINT_VERSION",
     "STATUS_OK", "STATUS_FAILED", "STATUS_SKIPPED",
     "Shard", "plan_shards", "shard_size_for",
     "add_jobs_argument", "add_shard_retries_argument",

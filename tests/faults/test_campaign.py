@@ -100,7 +100,7 @@ class TestCampaign:
     def test_checkpoint_survives_a_kill_mid_dump(self, tmp_path, monkeypatch):
         import json as real_json
 
-        from repro.faults import campaign as chaos
+        from repro.parallel import campaign as engine
 
         checkpoint = str(tmp_path / "chaos.json")
         run_campaign(3, base_seed=2018, checkpoint_path=checkpoint)
@@ -116,8 +116,11 @@ class TestCampaign:
             raise Killed("killed during json.dump")
 
         monkeypatch.setattr(
-            chaos, "json",
-            SimpleNamespace(dump=dump_then_die, load=real_json.load),
+            engine, "json",
+            SimpleNamespace(
+                dump=dump_then_die, load=real_json.load,
+                dumps=real_json.dumps, loads=real_json.loads,
+            ),
         )
         with pytest.raises(Killed):
             run_campaign(6, base_seed=2018, checkpoint_path=checkpoint, resume=True)
@@ -132,6 +135,72 @@ class TestCampaign:
         assert real_json.dumps(resumed.to_json()) == real_json.dumps(
             uninterrupted.to_json()
         )
+
+    def test_resume_refuses_a_checkpoint_from_another_scheme_filter(
+        self, tmp_path
+    ):
+        # Regression: resume used to stitch the ssp-filtered case for
+        # seed 2019 into a pssp-filtered campaign that has no case.
+        checkpoint = str(tmp_path / "chaos.json")
+        first = run_campaign(
+            6, base_seed=2018, schemes=("ssp",), checkpoint_path=checkpoint
+        )
+        assert [run.seed for run in first.runs] == [2019]
+        assert run_campaign(6, base_seed=2018, schemes=("pssp",)).runs == []
+        with pytest.raises(CampaignError, match="schemes"):
+            run_campaign(
+                6, base_seed=2018, schemes=("pssp",),
+                checkpoint_path=checkpoint, resume=True,
+            )
+
+    def test_resume_never_reruns_a_recorded_infra_error(
+        self, tmp_path, monkeypatch
+    ):
+        # Regression: resume used to re-run seeds recorded as infra
+        # errors, so the report held seed 2018 as a run *and* an error.
+        import json
+
+        from repro.faults import campaign as chaos
+
+        real = chaos.run_chaos_case
+
+        def broken_reference(seed, **kwargs):
+            if seed == 2018:
+                raise CampaignError("reference run failed to deploy")
+            return real(seed, **kwargs)
+
+        checkpoint = str(tmp_path / "chaos.json")
+        monkeypatch.setattr(chaos, "run_chaos_case", broken_reference)
+        first = run_campaign(3, base_seed=2018, checkpoint_path=checkpoint)
+        monkeypatch.undo()
+        assert [seed for seed, _ in first.infra_errors] == [2018]
+        resumed = run_campaign(
+            3, base_seed=2018, checkpoint_path=checkpoint, resume=True
+        )
+        assert json.dumps(resumed.to_json()) == json.dumps(first.to_json())
+        assert 2018 not in {run.seed for run in resumed.runs}
+
+    def test_resume_never_reruns_a_filtered_out_seed(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.faults import campaign as chaos
+
+        checkpoint = str(tmp_path / "chaos.json")
+        run_campaign(
+            6, base_seed=2018, schemes=("ssp",), checkpoint_path=checkpoint
+        )
+        derived = []
+        real = chaos.generate_fault_schedule
+        monkeypatch.setattr(
+            chaos, "generate_fault_schedule",
+            lambda seed, spec: derived.append(seed) or real(seed, spec),
+        )
+        resumed = run_campaign(
+            6, base_seed=2018, schemes=("ssp",),
+            checkpoint_path=checkpoint, resume=True,
+        )
+        assert [run.seed for run in resumed.runs] == [2019]
+        assert derived == []  # every seed, skipped ones too, was done
 
     def test_deadline_stops_the_campaign_with_a_typed_flag(self):
         report = run_campaign(50, base_seed=2018, deadline=0.0)

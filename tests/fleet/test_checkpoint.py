@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.errors import CampaignError, ShutdownRequested
 from repro.fleet import campaign as campaign_module
 from repro.fleet.campaign import run_fleet, run_fleet_slice
+from repro.parallel import campaign as engine_module
 
 KWARGS = dict(schemes=("pssp",), slice_requests=100, chaos=True)
 
@@ -47,9 +48,9 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         run_fleet(300, checkpoint_path=str(path), **KWARGS)
         data = json.loads(path.read_text())
-        assert data["kind"] == "fleet-checkpoint"
-        assert sorted(data["slices"]["pssp"]) == [
-            "20180625", "20180626", "20180627"
+        assert data["kind"] == "fleet"
+        assert sorted(data["units"]) == [
+            "pssp/20180625", "pssp/20180626", "pssp/20180627"
         ]
 
     def test_interrupted_campaign_resumes_byte_identically(
@@ -61,7 +62,7 @@ class TestCheckpoint:
         with pytest.raises(ShutdownRequested):
             run_fleet(500, checkpoint_path=str(path), **KWARGS)
         monkeypatch.undo()
-        done = json.loads(path.read_text())["slices"]["pssp"]
+        done = json.loads(path.read_text())["units"]
         assert len(done) == 2  # partial progress persisted
         resumed = run_fleet(
             500, checkpoint_path=str(path), resume=True, **KWARGS
@@ -121,9 +122,7 @@ class TestSignalShutdown:
         # Let it make some progress, then pull the plug.
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
-            if ckpt.exists() and json.loads(
-                ckpt.read_text()
-            )["slices"].get("pssp"):
+            if ckpt.exists() and json.loads(ckpt.read_text())["units"]:
                 break
             if proc.poll() is not None:
                 break
@@ -149,7 +148,7 @@ class TestSignalShutdown:
 
 # -- requeued shards ----------------------------------------------------------
 
-_REAL_FLEET_WORKER = campaign_module._fleet_shard_worker
+_REAL_FLEET_WORKER = engine_module._shard_worker
 
 
 def _fleet_killer_once(config, seeds, attempt):

@@ -145,7 +145,7 @@ class TestChaosFlags:
             "--schemes", "pssp", "--checkpoint", str(ckpt),
         ])
         assert first == cli.EXIT_OK
-        assert json.loads(ckpt.read_text())["kind"] == "fleet-checkpoint"
+        assert json.loads(ckpt.read_text())["kind"] == "fleet"
         again = cli.main([
             "fleet", "--budget", "200", "--slice", "100",
             "--schemes", "pssp", "--checkpoint", str(ckpt), "--resume",

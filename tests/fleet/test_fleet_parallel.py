@@ -18,7 +18,7 @@ import signal
 import pytest
 
 from repro.core.deploy import SCHEMES
-from repro.fleet import campaign as campaign_module
+from repro.parallel import campaign as engine_module
 from repro.fleet.campaign import run_fleet
 from repro.fleet.traffic import TrafficConfig
 from repro.parallel.snapcache import reset_image_cache
@@ -62,7 +62,7 @@ class TestJobsInvariance:
 # reference, so they must live at import scope.  The seed to die on
 # rides in through the (pickled) config dict, not a closure.
 
-_REAL_FLEET_WORKER = campaign_module._fleet_shard_worker
+_REAL_FLEET_WORKER = engine_module._shard_worker
 
 
 def _fleet_killer_always(config, seeds, attempt):
@@ -94,7 +94,7 @@ def _poison(monkeypatch, seed):
 class TestWorkerLoss:
     def test_lost_shard_surfaces_as_lost_slices(self, monkeypatch):
         monkeypatch.setattr(
-            campaign_module, "_fleet_shard_worker", _fleet_killer_always
+            engine_module, "_shard_worker", _fleet_killer_always
         )
         _poison(monkeypatch, 20180625)
         report = run_fleet(
@@ -113,7 +113,7 @@ class TestWorkerLoss:
     ):
         serial = run_fleet(300, schemes=("pssp",), slice_requests=100)
         monkeypatch.setattr(
-            campaign_module, "_fleet_shard_worker", _fleet_killer_once
+            engine_module, "_shard_worker", _fleet_killer_once
         )
         _poison(monkeypatch, 20180625)
         report = run_fleet(

@@ -12,8 +12,7 @@ import signal
 
 import pytest
 
-import repro.faults.campaign as campaign_module
-import repro.fuzz.fuzzer as fuzzer_module
+import repro.parallel.campaign as engine_module
 from repro import telemetry
 from repro.attacks.trials import attack_campaign
 from repro.faults.campaign import run_campaign
@@ -88,8 +87,8 @@ class TestAttackBitIdentity:
 # -- worker-crash handling ----------------------------------------------------
 
 
-_REAL_FUZZ_WORKER = fuzzer_module._fuzz_shard_worker
-_REAL_CHAOS_WORKER = campaign_module._chaos_shard_worker
+# Every campaign kind runs its shards through the engine's one worker.
+_REAL_FUZZ_WORKER = _REAL_CHAOS_WORKER = engine_module._shard_worker
 
 
 def _fuzz_killer_once(config, seeds, attempt):
@@ -134,7 +133,7 @@ class TestWorkerLoss:
     def test_killed_fuzz_worker_retried_to_full_report(self, monkeypatch):
         serial = run_fuzz(6, base_seed=2018, shrink=False, health=False)
         monkeypatch.setattr(
-            fuzzer_module, "_fuzz_shard_worker", _fuzz_killer_once
+            engine_module, "_shard_worker", _fuzz_killer_once
         )
         _poison(monkeypatch, 2018)
         pooled = run_fuzz(
@@ -148,7 +147,7 @@ class TestWorkerLoss:
 
     def test_lost_fuzz_shard_reported_never_dropped(self, monkeypatch):
         monkeypatch.setattr(
-            fuzzer_module, "_fuzz_shard_worker", _fuzz_killer_always
+            engine_module, "_shard_worker", _fuzz_killer_always
         )
         _poison(monkeypatch, 2018)
         report = run_fuzz(
@@ -166,7 +165,7 @@ class TestWorkerLoss:
 
     def test_lost_chaos_shard_becomes_infra_errors(self, monkeypatch):
         monkeypatch.setattr(
-            campaign_module, "_chaos_shard_worker", _chaos_killer_always
+            engine_module, "_shard_worker", _chaos_killer_always
         )
         _poison(monkeypatch, 2019)
         report = run_campaign(6, base_seed=2018, jobs=2)
@@ -176,6 +175,24 @@ class TestWorkerLoss:
         assert "worker lost" in report.infra_errors[0][1]
         assert sorted(run.seed for run in report.runs) \
             == [2018, 2020, 2021, 2022, 2023]
+
+
+    def test_lost_chaos_shard_is_not_checkpointed_and_resume_retries_it(
+        self, monkeypatch, tmp_path
+    ):
+        path = tmp_path / "chaos.json"
+        monkeypatch.setattr(
+            engine_module, "_shard_worker", _chaos_killer_always
+        )
+        _poison(monkeypatch, 2019)
+        lossy = run_campaign(6, base_seed=2018, jobs=2, checkpoint_path=str(path))
+        monkeypatch.undo()
+        assert [seed for seed, _ in lossy.infra_errors] == [2019]
+        assert "2019" not in json.loads(path.read_text())["units"]
+        resumed = run_campaign(
+            6, base_seed=2018, checkpoint_path=str(path), resume=True
+        )
+        assert _chaos_json(resumed) == _chaos_json(run_campaign(6, base_seed=2018))
 
 
 # -- acceptance-scale campaigns (scheduled CI) --------------------------------

@@ -6,9 +6,17 @@ import signal
 
 import pytest
 
+from repro.errors import ShutdownRequested
 from repro.fleet import campaign as campaign_module
 from repro.fleet.campaign import run_fleet
-from repro.trace import CampaignTrace, TraceConfig, replay_bundle
+from repro.parallel import campaign as engine_module
+from repro.trace import (
+    CampaignTrace,
+    TraceConfig,
+    replay_bundle,
+    write_bundles,
+    write_trace,
+)
 
 CONFIG = TraceConfig(series_interval=25)
 
@@ -81,18 +89,49 @@ class TestPerfettoShape:
             json.dumps(serial.trace.perfetto(), sort_keys=True)
 
 
-class TestGuards:
-    def test_tracing_refuses_checkpoints(self, tmp_path):
-        with pytest.raises(ValueError, match="checkpoint"):
-            run_fleet(
-                100, schemes=("ssp",), slice_requests=100, trace=CONFIG,
-                checkpoint_path=str(tmp_path / "ckpt.json"),
-            )
+class TestCheckpointedTrace:
+    def test_interrupted_traced_campaign_resumes_byte_identically(
+        self, monkeypatch, tmp_path
+    ):
+        kwargs = dict(schemes=("ssp", "pssp"), slice_requests=100, trace=CONFIG)
+        straight = run_fleet(300, **kwargs)
+        real = campaign_module.run_fleet_slice
+        served = []
+
+        def interrupting(*args, **kw):
+            # Stop mid-campaign: every ssp slice and one pssp slice done.
+            if len(served) == 4:
+                raise ShutdownRequested("test interrupt")
+            served.append(args)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(campaign_module, "run_fleet_slice", interrupting)
+        path = str(tmp_path / "ckpt.json")
+        with pytest.raises(ShutdownRequested):
+            run_fleet(300, checkpoint_path=path, **kwargs)
+        monkeypatch.undo()
+        resumed = run_fleet(300, checkpoint_path=path, resume=True, **kwargs)
+
+        for name, report in (("straight", straight), ("resumed", resumed)):
+            write_trace(report.trace, str(tmp_path / f"{name}.json"))
+            write_bundles(report.trace, str(tmp_path / f"{name}-bundles"))
+        assert (tmp_path / "resumed.json").read_bytes() == \
+            (tmp_path / "straight.json").read_bytes()
+        assert _tree(tmp_path / "resumed-bundles") == \
+            _tree(tmp_path / "straight-bundles")
+        assert json.dumps(resumed.to_json()) == json.dumps(straight.to_json())
+
+
+def _tree(directory):
+    """``name -> bytes`` for every file under ``directory``."""
+    if not directory.exists():
+        return {}
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
 
 
 # The pool pickles workers by reference, so the killer must live at
 # import scope; the poison seed rides in through the shipped config.
-_REAL_WORKER = campaign_module._fleet_shard_worker
+_REAL_WORKER = engine_module._shard_worker
 
 
 def _killer(config, seeds, attempt):
@@ -105,7 +144,7 @@ class TestWorkerLoss:
     def test_lost_shard_leaves_a_replayable_bundle(self, monkeypatch):
         from repro import parallel
 
-        monkeypatch.setattr(campaign_module, "_fleet_shard_worker", _killer)
+        monkeypatch.setattr(engine_module, "_shard_worker", _killer)
         real_run_shards = parallel.run_shards
 
         def poisoned(worker, config, shards, **kwargs):

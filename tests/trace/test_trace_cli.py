@@ -87,16 +87,45 @@ class TestPostmortemCommand:
 
 
 class TestFleetTraceFlags:
-    def test_trace_out_with_checkpoint_is_a_usage_error(
-        self, tmp_path, capsys
+    def test_trace_out_with_checkpoint_resumes_byte_identically(
+        self, tmp_path, capsys, monkeypatch
     ):
-        code = cli.main([
-            "fleet", "--budget", "100",
-            "--trace-out", str(tmp_path / "t.json"),
-            "--checkpoint", str(tmp_path / "c.json"),
-        ])
-        assert code == EXIT_USAGE
-        assert "--trace-out" in capsys.readouterr().err
+        from repro.errors import ShutdownRequested
+        from repro.fleet import campaign as campaign_module
+
+        def fleet(name, *extra):
+            return cli.main([
+                "fleet", "--budget", "200", "--slice", "100",
+                "--schemes", "ssp",
+                "--trace-out", str(tmp_path / f"{name}-trace.json"),
+                "--bundle-dir", str(tmp_path / f"{name}-bundles"),
+                "--out", str(tmp_path / f"{name}.json"), *extra,
+            ])
+
+        assert fleet("straight") == EXIT_OK
+        checkpoint = ["--checkpoint", str(tmp_path / "ckpt.json")]
+        real = campaign_module.run_fleet_slice
+        served = []
+
+        def interrupting(*args, **kwargs):
+            if served:  # one slice checkpointed, then the signal lands
+                raise ShutdownRequested("test interrupt")
+            served.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(campaign_module, "run_fleet_slice", interrupting)
+        assert fleet("resumed", *checkpoint) == EXIT_INFRASTRUCTURE
+        monkeypatch.undo()
+        assert fleet("resumed", *checkpoint, "--resume") == EXIT_OK
+        capsys.readouterr()
+        for name in ("-trace.json", ".json"):
+            assert (tmp_path / f"resumed{name}").read_bytes() == \
+                (tmp_path / f"straight{name}").read_bytes()
+        bundles = {
+            name: sorted(p.name for p in (tmp_path / f"{name}-bundles").iterdir())
+            for name in ("straight", "resumed")
+        }
+        assert bundles["resumed"] == bundles["straight"]
 
     def test_fleet_writes_trace_and_bundles(self, tmp_path, capsys):
         trace_path = tmp_path / "fleet-trace.json"
