@@ -7,8 +7,11 @@ scheme).  The case runs twice:
   reference must exit cleanly (anything else is an infrastructure error,
   not a chaos finding — benign programs are the fuzzer's contract).
 * **faulted** — a fresh kernel with a :class:`~repro.faults.plane.FaultPlane`
-  carrying the schedule, run down the slow path with a
-  :class:`CanaryAuditor` watching every canary store.
+  carrying the schedule, with a :class:`CanaryAuditor` watching every
+  canary store.  Both runs take the default (fast) interpreter path: the
+  auditor observes through the CPU's canary-store watch, which both
+  interpreter loops honour, so auditing costs nothing on the steps it
+  does not watch.
 
 The fault-outcome invariant then demands one of three *auditable*
 outcomes and nothing else:
@@ -39,7 +42,6 @@ from .. import telemetry
 from ..core.deploy import build, deploy
 from ..errors import CampaignError, DegradedError
 from ..fuzz.conformance import FUZZ_CYCLE_LIMIT, _fingerprint
-from ..isa.instructions import Mem, Reg
 from ..kernel.kernel import Kernel
 from ..workloads.generator import (
     FunctionSpec,
@@ -65,21 +67,17 @@ _DEGRADED_EVENT_KINDS = frozenset({"rdrand-exhausted", "entropy-degraded"})
 
 
 class CanaryAuditor:
-    """Watch canary stores through the CPU trace hook.
+    """Watch canary stores through the CPU's canary-store watch.
 
-    Installing a trace hook forces the interpreter's slow path, so every
-    prologue store is observed.  The auditor follows the instruction
-    *notes* the passes attach: a fresh per-call draw must never be zero
-    and must not silently repeat; a fallback load must match the TLS
-    shadow pair and be explained by a degradation event.  The hook
-    re-attaches itself to forked children and new threads.
+    The watch (``CPU.watch``) sees exactly the executed stores that
+    :func:`repro.telemetry.canary_store` selects, on either interpreter
+    loop, so the audited run keeps the fast path.  A fresh per-call draw
+    must never be zero and must not silently repeat; a fallback load
+    must match the TLS shadow pair and be explained by a degradation
+    event.  The hooks :meth:`attach` registers on the root process are
+    inherited by every forked child and new thread, and only set the
+    newcomer's watch.
     """
-
-    #: Fresh-path C0 stores (hardened pass, and the plain NT store the
-    #: fallback-disabled mutant degenerates to).
-    FRESH_NOTES = frozenset({"pssp-nt-hardened-c0"})
-    PLAIN_NOTE = "pssp-nt-prologue"
-    FALLBACK_NOTE = "pssp-nt-fallback-c0"
 
     def __init__(self, plane: FaultPlane) -> None:
         self.plane = plane
@@ -89,32 +87,24 @@ class CanaryAuditor:
         self.fallback_mismatches: List[str] = []
 
     def attach(self, process) -> None:
-        def hook(name, index, instruction, _process=process):
-            self._observe(_process, instruction)
+        """Watch ``process`` and every process or thread it begets."""
+        self._watch(process)
+        process.fork_hooks.append(lambda child, parent: self._watch(child))
+        process.thread_hooks.append(lambda thread, parent: self._watch(thread))
 
-        process.cpu.trace = hook
-        process.fork_hooks.append(lambda child, parent: self.attach(child))
-        process.thread_hooks.append(lambda thread, parent: self.attach(thread))
-
-    def _is_plain_c0_store(self, instruction) -> bool:
-        return (
-            len(instruction.operands) == 2
-            and isinstance(instruction.operands[0], Mem)
-            and instruction.operands[1] == Reg("rax")
+    def _watch(self, process) -> None:
+        process.cpu.watch = lambda instruction: self._observe(
+            process, instruction
         )
 
     def _observe(self, process, instruction) -> None:
-        note = instruction.note
-        if instruction.op != "mov" or not note:
-            return
-        if note in self.FRESH_NOTES or (
-            note == self.PLAIN_NOTE and self._is_plain_c0_store(instruction)
-        ):
+        kind = telemetry.canary_store(instruction)
+        if kind == "fresh":
             value = process.cpu.registers.read("rax")
             self.fresh_values.append(value)
             if value == 0:
                 self.zero_stores += 1
-        elif note == self.FALLBACK_NOTE:
+        elif kind == "fallback":
             self.fallback_stores += 1
             value = process.cpu.registers.read("rax")
             expected = process.tls.shadow_c0
@@ -397,10 +387,7 @@ def run_chaos_case(
     try:
         kernel = Kernel(seed, fault_plane=plane)
         binary = build(source, scheme, name="chaos")
-        process, _ = deploy(
-            kernel, binary, scheme, cycle_limit=cycle_limit,
-            fast=auditor is None,
-        )
+        process, _ = deploy(kernel, binary, scheme, cycle_limit=cycle_limit)
     except DegradedError as error:
         # Fail-closed at install time (e.g. a persistently torn publish).
         run.outcome = "degraded"

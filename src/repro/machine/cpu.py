@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..errors import (
@@ -87,7 +87,8 @@ class CPU:
         differential-testing oracle: both paths must produce identical
         cycles, instruction counts, memory images and exit statuses.
         The fast path is also bypassed whenever a ``trace`` hook is
-        installed, since tracing observes every single step.
+        installed, since tracing observes every single step; a canary-store
+        :attr:`watch` keeps it.
     """
 
     def __init__(
@@ -135,6 +136,8 @@ class CPU:
         self.exit_status = 0
         self._trace: Optional[Callable[[str, int, Instruction], None]] = None
         self._trace_warned = False
+        #: Canary-store watch (see :attr:`watch`); decoded steps read it.
+        self._watch: Optional[Callable[[Instruction], None]] = None
         #: Optional telemetry Profiler receiving enter/close at function
         #: switches (one ``is not None`` check per switch when absent).
         self.profiler = None
@@ -149,6 +152,8 @@ class CPU:
         #: Canary group-leader maps for the slow loop, keyed by function
         #: name and invalidated on object identity (mirrors _decoded).
         self._marker_cache: Dict[str, Tuple[Function, Dict[int, str]]] = {}
+        #: Audited canary-store index sets, cached the same way.
+        self._store_cache: Dict[str, Tuple[Function, FrozenSet[int]]] = {}
 
     @property
     def trace(self) -> Optional[Callable[[str, int, Instruction], None]]:
@@ -157,7 +162,8 @@ class CPU:
         Installing a hook forces the slow interpreter loop — it observes
         every step.  For always-on observation that keeps the fast path,
         use the sampled telemetry event stream instead (see
-        docs/observability.md).
+        docs/observability.md); to observe canary stores, use
+        :attr:`watch`.
         """
         return self._trace
 
@@ -170,11 +176,32 @@ class CPU:
             warnings.warn(
                 "installing a cpu.trace hook forces the slow interpreter "
                 "loop; for low-overhead observation use the sampled "
-                "telemetry event stream (repro.telemetry) instead",
+                "telemetry event stream (repro.telemetry) instead, and "
+                "cpu.watch to observe canary stores",
                 RuntimeWarning,
                 stacklevel=2,
             )
         self._trace = hook
+
+    @property
+    def watch(self) -> Optional[Callable[[Instruction], None]]:
+        """Optional canary-store watch, called as ``watch(instruction)``.
+
+        It sees every executed instruction that
+        :func:`repro.telemetry.canary_store` selects, after the
+        instruction's cycle charge and before its semantics, on both
+        interpreter loops: the decoder wraps exactly those steps, the
+        slow loop consults the same per-function index set, and the
+        trace-JIT side-exits at them while a watch is set.  Unlike
+        :attr:`trace`, a watch keeps the fast path.
+        """
+        return self._watch
+
+    @watch.setter
+    def watch(self, hook: Optional[Callable[[Instruction], None]]) -> None:
+        # Superblocks compiled without a watch run the stores inline.
+        self.flush_jit_cache()
+        self._watch = hook
 
     # ------------------------------------------------------------------
     # operand access
@@ -361,14 +388,27 @@ class CPU:
                 self.instructions_executed - start_instructions,
             )
 
-    def _canary_markers(self, function: Function) -> Dict[int, str]:
-        """Group-leader map for ``function``, cached per object identity."""
-        cached = self._marker_cache.get(function.name)
+    @staticmethod
+    def _per_function(cache: dict, function: Function, build):
+        """``build(function)``, cached by name and object identity."""
+        cached = cache.get(function.name)
         if cached is not None and cached[0] is function:
             return cached[1]
-        markers = telemetry.canary_markers(function)
-        self._marker_cache[function.name] = (function, markers)
-        return markers
+        value = build(function)
+        cache[function.name] = (function, value)
+        return value
+
+    def _canary_markers(self, function: Function) -> Dict[int, str]:
+        """Group-leader map for ``function``."""
+        return self._per_function(
+            self._marker_cache, function, telemetry.canary_markers
+        )
+
+    def _canary_stores(self, function: Function) -> FrozenSet[int]:
+        """Indices of ``function``'s audited canary stores."""
+        return self._per_function(
+            self._store_cache, function, telemetry.canary_stores
+        )
 
     def _run_loop_slow(self) -> None:
         """The original interpret-every-step loop (differential oracle).
@@ -376,13 +416,17 @@ class CPU:
         Canary counting consults the same group-leader map the decoder
         wraps steps from, after the charge/retire point the fast path's
         wrapped closures run at — so both paths count identically, by
-        construction, including on a cycle-limit trip.
+        construction, including on a cycle-limit trip.  The canary-store
+        watch is consulted at the same point from the same index set the
+        decoder wraps.
         """
         hooks = telemetry.canary_hooks()
         profiler = self.profiler
         profiled: Optional[Function] = None
         marked: Optional[Function] = None
         markers: Dict[int, str] = {}
+        watched: Optional[Function] = None
+        stores: FrozenSet[int] = frozenset()
         try:
             while self.running:
                 function = self._current
@@ -407,6 +451,13 @@ class CPU:
                         marker = markers.get(index)
                         if marker is not None:
                             hooks.hit(marker, name, index)
+                watch = self._watch
+                if watch is not None:
+                    if function is not watched:
+                        watched = function
+                        stores = self._canary_stores(function)
+                    if index in stores:
+                        watch(instruction)
                 self._dispatch(instruction)
         finally:
             if profiler is not None:
@@ -520,10 +571,10 @@ class CPU:
         arrivals run one Python call for the whole straight-line block,
         with accounting batched at block granularity (exact, because
         blocks only compile when every member cost is integral).
-        Side-exits — SYNC steps, canary group-leaders, trace-hook arms,
-        block ends — drop back into the step loop below with identical
-        architectural state; faults mid-block reconstruct it from the
-        block's prefix tables.
+        Side-exits — SYNC steps, canary group-leaders, watched canary
+        stores, trace-hook arms, block ends — drop back into the step
+        loop below with identical architectural state; faults mid-block
+        reconstruct it from the block's prefix tables.
         """
         registers = self.registers
         tsc = self.tsc

@@ -79,6 +79,19 @@ _GPRS = frozenset(GPRS)
 Step = Tuple[Callable[[object], None], float, int, int, Tuple[str, int]]
 
 
+def _watched(execute, instruction: Instruction):
+    """Wrap an audited canary store: hand ``instruction`` to the CPU's
+    watch (``CPU.watch``), if it has one, then execute it."""
+
+    def watched(C) -> None:
+        watch = C._watch
+        if watch is not None:
+            watch(instruction)
+        execute(C)
+
+    return watched
+
+
 class DecodedFunction:
     """A function lowered to a step list, shared by every CPU on one image.
 
@@ -175,6 +188,7 @@ class FunctionDecoder:
         dbi = self.dbi_multiplier
         name = function.name
         steps: List[Step] = []
+        canary_store = telemetry.canary_store
         for index, instruction in enumerate(function.body):
             cycles, ticks = step_cost(instruction, dbi)
             compiled = None
@@ -184,10 +198,13 @@ class FunctionDecoder:
             if compiled is None:
                 compiled = self._generic(instruction)
             execute, kind = compiled
+            if canary_store(instruction) is not None:
+                execute = _watched(execute, instruction)
             steps.append((execute, cycles, ticks, kind, (name, index + 1)))
         hooks = telemetry.canary_hooks()
         if hooks is not None:
-            # Telemetry: wrap only canary group-leader steps, so the fast
+            # Telemetry: wrap only canary group-leader steps (outside any
+            # watch wrapper, the slow loop's order), so the fast
             # loop pays nothing on any other step.  Shared step lists are
             # keyed on the telemetry generation, so these wrappers are
             # decoded away when telemetry is disabled.

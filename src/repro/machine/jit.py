@@ -22,7 +22,8 @@ Exactness contract (the reason this file is mostly checks):
   architectural state the step loop would have left: ``rip`` of the
   faulting step, accounting through it (the step loop charges before
   executing), and every register/memory effect of the preceding steps.
-* **Side-exits** happen at canary group-leaders, SYNC steps (``rdtsc``,
+* **Side-exits** happen at canary group-leaders, watched canary stores
+  (while the CPU has a ``watch``), SYNC steps (``rdtsc``,
   calls that can reach natives), block-size caps, and cycle-limit
   proximity; each returns to the generic step loop with architectural
   state indistinguishable from never having JIT-compiled at all.
@@ -614,11 +615,14 @@ def compile_superblock(cpu, decoded: DecodedView, anchor: int):
     steps = decoded.steps
     body = function.body
     total = len(steps)
-    markers = (
-        cpu._canary_markers(function)
-        if telemetry.canary_hooks() is not None
-        else None
-    )
+    # Side-exits: canary group leaders while telemetry counts them, and
+    # audited canary stores while the CPU has a watch.  Both stay in
+    # the step loop, whose wrapped steps count and watch them.
+    exits = set()
+    if telemetry.canary_hooks() is not None:
+        exits.update(cpu._canary_markers(function))
+    if cpu.watch is not None:
+        exits.update(cpu._canary_stores(function))
 
     picked: List[int] = []
     picked_set = set()
@@ -628,8 +632,8 @@ def compile_superblock(cpu, decoded: DecodedView, anchor: int):
     while k < total and len(picked) < MAX_STEPS:
         if k in picked_set:
             break  # walked back into the trace: side-exit, re-dispatch
-        if markers is not None and k in markers:
-            break  # side-exit: canary group leader stays in the step loop
+        if k in exits:
+            break  # side-exit: leader or watched store stays in the step loop
         kind = steps[k][3]
         if kind & SYNC:
             break  # rdtsc / native-charging call need exact accounting

@@ -7,7 +7,9 @@ Public surface:
 * :func:`ring` / :class:`EventRing` — the canary lifecycle event stream
   (:mod:`repro.telemetry.events`).
 * :func:`canary_markers` — shared group-leader map both interpreter
-  paths count from (:mod:`repro.telemetry.markers`).
+  paths count from, and :func:`canary_store` / :func:`canary_stores` —
+  the audited canary stores both paths hand a CPU's watch
+  (:mod:`repro.telemetry.markers`).
 * Recording helpers (:func:`count`, :func:`observe`, :func:`event`,
   :func:`machine_flush`, :func:`canary_hooks`) — every one is a no-op
   when telemetry is disabled, and none is ever called per instruction
@@ -24,7 +26,14 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from .events import EVENT_KINDS, Event, EventRing, ring
-from .markers import EPILOGUE_NOTES, NOTE_GROUPS, PROLOGUE_NOTES, canary_markers
+from .markers import (
+    EPILOGUE_NOTES,
+    NOTE_GROUPS,
+    PROLOGUE_NOTES,
+    canary_markers,
+    canary_store,
+    canary_stores,
+)
 from .registry import (
     DEFAULT_BUCKETS,
     Counter,
@@ -32,14 +41,14 @@ from .registry import (
     Histogram,
     Registry,
     Snapshot,
-    SpanTimer,
     registry,
 )
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "Registry", "Snapshot", "SpanTimer",
+    "Counter", "Gauge", "Histogram", "Registry", "Snapshot",
     "Event", "EventRing", "EVENT_KINDS", "DEFAULT_BUCKETS",
     "NOTE_GROUPS", "PROLOGUE_NOTES", "EPILOGUE_NOTES", "canary_markers",
+    "canary_store", "canary_stores",
     "registry", "ring", "enabled", "enable", "disable", "generation",
     "reset", "snapshot", "delta", "absorb", "count", "observe", "event",
     "sampled_event", "counter_value", "machine_flush", "jit_flush",

@@ -18,11 +18,19 @@ prologue/epilogue, and both interpreter paths count the same leaders:
 the fast path wraps the leader's step closure at decode time, the slow
 path consults the same map per function.  That shared map is what makes
 the fast/slow canary counters bit-identical by construction.
+
+The same idea carries the chaos auditor's *canary-store watch*: one
+predicate, :func:`canary_store`, picks the NT prologue's C0 stores; the
+decoder wraps exactly those steps and the slow loop consults the same
+per-function index set (:func:`canary_stores`), so both paths hand the
+watch exactly the stores that execute.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
+
+from ..isa.instructions import Mem, Reg
 
 #: note -> (category, region group).  A new region starts whenever the
 #: (category, group) pair changes between adjacent instructions; notes
@@ -80,3 +88,41 @@ def canary_markers(function) -> Dict[int, str]:
             markers[index] = entry[0]
         previous = entry
     return markers
+
+
+_RAX = Reg("rax")
+
+
+def canary_store(instruction) -> Optional[str]:
+    """``"fresh"`` / ``"fallback"`` for an audited C0 store, else ``None``.
+
+    Audited stores are the hardened NT prologue's per-call draw
+    (``pssp-nt-hardened-c0``), its shadow-pair fallback
+    (``pssp-nt-fallback-c0``), and the plain NT prologue's
+    ``mov [mem], rax`` — the store the fallback-disabled mutant
+    degenerates to.
+    """
+    if instruction.op != "mov":
+        return None
+    note = instruction.note
+    if note == "pssp-nt-hardened-c0":
+        return "fresh"
+    if note == "pssp-nt-fallback-c0":
+        return "fallback"
+    if note == "pssp-nt-prologue":
+        operands = instruction.operands
+        if (
+            len(operands) == 2
+            and isinstance(operands[0], Mem)
+            and operands[1] == _RAX
+        ):
+            return "fresh"
+    return None
+
+
+def canary_stores(function) -> FrozenSet[int]:
+    """Indices of ``function``'s audited canary stores (see above)."""
+    return frozenset(
+        index for index, instruction in enumerate(function.body)
+        if canary_store(instruction) is not None
+    )

@@ -1,4 +1,4 @@
-"""Typed instrument registry: counters, gauges, histograms, span timers.
+"""Typed instrument registry: counters, gauges, histograms.
 
 One process-wide :class:`Registry` (reachable via :func:`registry`) holds
 every instrument by name.  Recording is designed around the interpreter
@@ -14,9 +14,6 @@ Instrument taxonomy (documented in docs/observability.md):
 * :class:`Gauge`     — last-write-wins level (``set``/``add``).
 * :class:`Histogram` — fixed upper-bound buckets chosen at creation;
   ``observe`` is O(buckets) with no allocation.
-* :class:`SpanTimer` — context manager observing durations into a
-  histogram; the clock is pluggable so spans can measure host seconds
-  (default) or simulated cycles.
 
 Enable/disable is global and **generational**: every state flip bumps
 ``Registry.generation``, which the CPU's decode cache watches so stale
@@ -25,8 +22,7 @@ telemetry wrappers are re-decoded away instead of checked per step.
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 Number = Union[int, float]
 
@@ -133,31 +129,6 @@ class Histogram:
             "sum": self.total,
             "count": self.count,
         }
-
-
-class SpanTimer:
-    """Times a ``with`` block into a histogram via a pluggable clock."""
-
-    __slots__ = ("histogram", "clock", "_start", "last")
-
-    def __init__(
-        self, histogram: Histogram, clock: Callable[[], float]
-    ) -> None:
-        self.histogram = histogram
-        self.clock = clock
-        self._start: Optional[float] = None
-        #: Duration of the most recent completed span.
-        self.last: Optional[float] = None
-
-    def __enter__(self) -> "SpanTimer":
-        self._start = self.clock()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        assert self._start is not None
-        self.last = self.clock() - self._start
-        self.histogram.observe(self.last)
-        self._start = None
 
 
 Instrument = Union[Counter, Gauge, Histogram]
@@ -278,17 +249,6 @@ class Registry:
         help: str = "",
     ) -> Histogram:
         return self._get(name, lambda: Histogram(name, bounds, help), "histogram")
-
-    def span(
-        self,
-        name: str,
-        *,
-        clock: Optional[Callable[[], float]] = None,
-        bounds: Tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> SpanTimer:
-        return SpanTimer(
-            self.histogram(name, bounds), clock or time.perf_counter
-        )
 
     def instruments(self) -> List[Instrument]:
         return [self._instruments[name] for name in sorted(self._instruments)]

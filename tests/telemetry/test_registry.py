@@ -1,4 +1,4 @@
-"""Instrument semantics: counters, gauges, histograms, spans, the ring."""
+"""Instrument semantics: counters, gauges, histograms, the ring."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.telemetry.registry import (
     Gauge,
     Histogram,
     Registry,
-    SpanTimer,
 )
 
 
@@ -64,18 +63,6 @@ class TestHistogram:
         assert histogram.snapshot() == {
             "bounds": [1.0], "counts": [0, 0], "sum": 0.0, "count": 0,
         }
-
-
-class TestSpanTimer:
-    def test_pluggable_clock(self):
-        histogram = Histogram("h", bounds=(10.0, 100.0))
-        ticks = iter([100.0, 140.0])
-        timer = SpanTimer(histogram, clock=lambda: next(ticks))
-        with timer:
-            pass
-        assert timer.last == 40.0
-        assert histogram.count == 1
-        assert histogram.counts == [0, 1, 0]
 
 
 class TestRegistry:
