@@ -2,8 +2,8 @@
 """Telemetry overhead benchmark: fast path with telemetry on vs off.
 
 The telemetry plane's contract is *zero slowdown*: machine counters are
-flushed once per run loop, and only canary group-leader steps carry a
-wrapped closure.  This benchmark measures that claim on the same three
+flushed once per run loop, and only canary-site steps carry the wrapped
+canary probe.  This benchmark measures that claim on the same three
 workload shapes as ``bench_interpreter.py`` and gates the ratio —
 telemetry-on must stay within ``--threshold`` (default 5%) of
 telemetry-off throughput, by geomean across workloads.

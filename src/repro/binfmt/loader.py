@@ -56,10 +56,10 @@ class LoadedImage:
         self.code_generation = 0
         #: Decoded step lists shared by every CPU that runs on this image
         #: (the booted parent, its fork children and its threads):
-        #: ``(dbi_multiplier, telemetry generation) -> {function name:
-        #: DecodedFunction}``.  Filled by ``CPU._decoded``; never copied
-        #: by :meth:`clone`, so each spawn from a warmed image starts cold.
-        self.shared_decodes: Dict[Tuple[float, int], Dict[str, object]] = {}
+        #: ``dbi_multiplier -> {function name: DecodedFunction}``.  Filled
+        #: by ``CPU._decoded``; never copied by :meth:`clone`, so each
+        #: spawn from a warmed image starts cold.
+        self.shared_decodes: Dict[float, Dict[str, object]] = {}
 
     # -- construction --------------------------------------------------------
 

@@ -141,24 +141,19 @@ def _build_uncached(source: str, spec: SchemeSpec, name: str) -> Binary:
     return binary
 
 
-def build(
-    source: str, scheme: str = "pssp", *, name: str = "a.out",
-    cache: Optional[bool] = None,
-) -> Binary:
+def build(source: str, scheme: str = "pssp", *, name: str = "a.out") -> Binary:
     """Compile MiniC source under ``scheme`` (including rewriting paths).
 
     Builds are deterministic, so the result is served through the
     content-addressed :mod:`repro.parallel.buildcache` keyed by
     ``(source, scheme toolchain fingerprint, name)`` — campaigns that
     rebuild one program per interpreter path, per reference/faulted
-    twin, or per shrink candidate reuse a single compile.  Pass
-    ``cache=False`` to force a fresh compile (the cache itself hands
-    out private clones either way, so hits are unobservable except in
-    speed).
+    twin, or per shrink candidate reuse a single compile.  The cache
+    hands out private clones, so hits are unobservable except in speed.
     """
     spec = get_scheme(scheme)
     store = build_cache()
-    if cache is False or not store.enabled:
+    if not store.enabled:
         return _build_uncached(source, spec, name)
     return store.get_or_build(
         source, spec, name, lambda: _build_uncached(source, spec, name)

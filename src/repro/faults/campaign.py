@@ -9,9 +9,9 @@ scheme).  The case runs twice:
 * **faulted** — a fresh kernel with a :class:`~repro.faults.plane.FaultPlane`
   carrying the schedule, with a :class:`CanaryAuditor` watching every
   canary store.  Both runs take the default (fast) interpreter path: the
-  auditor observes through the CPU's canary-store watch, which both
-  interpreter loops honour, so auditing costs nothing on the steps it
-  does not watch.
+  auditor observes through the CPU's canary-store watch, which the
+  canary probe feeds in every interpreter tier, so auditing costs
+  nothing on the steps it does not watch.
 
 The fault-outcome invariant then demands one of three *auditable*
 outcomes and nothing else:
@@ -69,12 +69,12 @@ _DEGRADED_EVENT_KINDS = frozenset({"rdrand-exhausted", "entropy-degraded"})
 class CanaryAuditor:
     """Watch canary stores through the CPU's canary-store watch.
 
-    The watch (``CPU.watch``) sees exactly the executed stores that
-    :func:`repro.telemetry.canary_store` selects, on either interpreter
-    loop, so the audited run keeps the fast path.  A fresh per-call draw
-    must never be zero and must not silently repeat; a fallback load
-    must match the TLS shadow pair and be explained by a degradation
-    event.  The hooks :meth:`attach` registers on the root process are
+    The canary probe hands the watch (``CPU.watch``) every executed
+    audited C0 store in :func:`repro.telemetry.canary_sites`, with its
+    kind, in every interpreter tier, so the audited run keeps the fast
+    path.  A fresh per-call draw must never be zero and must not
+    silently repeat; a fallback load must match the TLS shadow pair and
+    be explained by a degradation event.  The hooks :meth:`attach` registers on the root process are
     inherited by every forked child and new thread, and only set the
     newcomer's watch.
     """
@@ -93,12 +93,11 @@ class CanaryAuditor:
         process.thread_hooks.append(lambda thread, parent: self._watch(thread))
 
     def _watch(self, process) -> None:
-        process.cpu.watch = lambda instruction: self._observe(
-            process, instruction
+        process.cpu.watch = lambda kind, instruction: self._observe(
+            process, kind
         )
 
-    def _observe(self, process, instruction) -> None:
-        kind = telemetry.canary_store(instruction)
+    def _observe(self, process, kind: str) -> None:
         if kind == "fresh":
             value = process.cpu.registers.read("rax")
             self.fresh_values.append(value)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..errors import (
@@ -33,6 +33,7 @@ from ..errors import (
 from ..isa.costs import instruction_cost
 from ..isa.instructions import Function, Imm, Instruction, Label, Mem, Reg, Sym
 from ..isa.registers import ARG_REGS, RegisterFile
+from ..telemetry import CanarySite
 from . import jit as _jit
 from .decode import CONTROL, SYNC, DecodedView, FunctionDecoder
 from .devices import RdRandDevice, TimeStampCounter
@@ -88,7 +89,7 @@ class CPU:
         cycles, instruction counts, memory images and exit statuses.
         The fast path is also bypassed whenever a ``trace`` hook is
         installed, since tracing observes every single step; a canary-store
-        :attr:`watch` keeps it.
+        ``watch`` keeps it.
     """
 
     def __init__(
@@ -136,24 +137,27 @@ class CPU:
         self.exit_status = 0
         self._trace: Optional[Callable[[str, int, Instruction], None]] = None
         self._trace_warned = False
-        #: Canary-store watch (see :attr:`watch`); decoded steps read it.
-        self._watch: Optional[Callable[[Instruction], None]] = None
+        #: Optional canary-store watch, called as ``watch(kind,
+        #: instruction)`` with ``kind`` ``"fresh"`` or ``"fallback"``.  The
+        #: canary probe hands it every executed audited C0 store
+        #: (:func:`repro.telemetry.canary_sites`), after the store's cycle
+        #: charge and before its semantics, in every interpreter tier.
+        #: Unlike :attr:`trace`, a watch keeps the fast path, and setting
+        #: or clearing one invalidates nothing.
+        self.watch: Optional[Callable[[str, Instruction], None]] = None
         #: Optional telemetry Profiler receiving enter/close at function
         #: switches (one ``is not None`` check per switch when absent).
         self.profiler = None
         self._current: Optional[Function] = None
         #: This CPU's views of the image's shared step lists: function
-        #: name -> DecodedView, valid for one image generation, one
-        #: telemetry generation and one DBI multiplier (see _decoded).
+        #: name -> DecodedView, valid for one image generation and one
+        #: DBI multiplier (see _decoded).
         self._decode_cache: Dict[str, DecodedView] = {}
         self._decode_generation: Optional[int] = None
-        self._decode_telemetry_generation: int = -1
         self._decode_dbi: Optional[float] = None
-        #: Canary group-leader maps for the slow loop, keyed by function
-        #: name and invalidated on object identity (mirrors _decoded).
-        self._marker_cache: Dict[str, Tuple[Function, Dict[int, str]]] = {}
-        #: Audited canary-store index sets, cached the same way.
-        self._store_cache: Dict[str, Tuple[Function, FrozenSet[int]]] = {}
+        #: Canary-site tables for the slow loop, keyed by function name
+        #: and invalidated on object identity (mirrors _decoded).
+        self._site_cache: Dict[str, Tuple[Function, Dict[int, CanarySite]]] = {}
 
     @property
     def trace(self) -> Optional[Callable[[str, int, Instruction], None]]:
@@ -162,8 +166,8 @@ class CPU:
         Installing a hook forces the slow interpreter loop — it observes
         every step.  For always-on observation that keeps the fast path,
         use the sampled telemetry event stream instead (see
-        docs/observability.md); to observe canary stores, use
-        :attr:`watch`.
+        docs/observability.md); to observe canary stores, set
+        ``watch``.
         """
         return self._trace
 
@@ -176,32 +180,13 @@ class CPU:
             warnings.warn(
                 "installing a cpu.trace hook forces the slow interpreter "
                 "loop; for low-overhead observation use the sampled "
-                "telemetry event stream (repro.telemetry) instead, and "
-                "cpu.watch to observe canary stores",
+                "telemetry event stream (repro.telemetry) instead, or "
+                "set cpu.watch = hook(kind, instruction) to observe "
+                "canary stores on the fast path",
                 RuntimeWarning,
                 stacklevel=2,
             )
         self._trace = hook
-
-    @property
-    def watch(self) -> Optional[Callable[[Instruction], None]]:
-        """Optional canary-store watch, called as ``watch(instruction)``.
-
-        It sees every executed instruction that
-        :func:`repro.telemetry.canary_store` selects, after the
-        instruction's cycle charge and before its semantics, on both
-        interpreter loops: the decoder wraps exactly those steps, the
-        slow loop consults the same per-function index set, and the
-        trace-JIT side-exits at them while a watch is set.  Unlike
-        :attr:`trace`, a watch keeps the fast path.
-        """
-        return self._watch
-
-    @watch.setter
-    def watch(self, hook: Optional[Callable[[Instruction], None]]) -> None:
-        # Superblocks compiled without a watch run the stores inline.
-        self.flush_jit_cache()
-        self._watch = hook
 
     # ------------------------------------------------------------------
     # operand access
@@ -388,45 +373,29 @@ class CPU:
                 self.instructions_executed - start_instructions,
             )
 
-    @staticmethod
-    def _per_function(cache: dict, function: Function, build):
-        """``build(function)``, cached by name and object identity."""
-        cached = cache.get(function.name)
+    def _canary_sites(self, function: Function) -> Dict[int, CanarySite]:
+        """``function``'s canary-site table, cached by name and identity."""
+        cached = self._site_cache.get(function.name)
         if cached is not None and cached[0] is function:
             return cached[1]
-        value = build(function)
-        cache[function.name] = (function, value)
-        return value
-
-    def _canary_markers(self, function: Function) -> Dict[int, str]:
-        """Group-leader map for ``function``."""
-        return self._per_function(
-            self._marker_cache, function, telemetry.canary_markers
-        )
-
-    def _canary_stores(self, function: Function) -> FrozenSet[int]:
-        """Indices of ``function``'s audited canary stores."""
-        return self._per_function(
-            self._store_cache, function, telemetry.canary_stores
-        )
+        sites = telemetry.canary_sites(function)
+        self._site_cache[function.name] = (function, sites)
+        return sites
 
     def _run_loop_slow(self) -> None:
         """The original interpret-every-step loop (differential oracle).
 
-        Canary counting consults the same group-leader map the decoder
-        wraps steps from, after the charge/retire point the fast path's
-        wrapped closures run at — so both paths count identically, by
-        construction, including on a cycle-limit trip.  The canary-store
-        watch is consulted at the same point from the same index set the
-        decoder wraps.
+        Canary sites run the same probe, from the same site table, that
+        the decoder wraps site steps with, after the charge/retire point
+        the fast path's wrapped closures run at — so both paths count
+        leaders and watch stores identically, by construction, including
+        on a cycle-limit trip.
         """
-        hooks = telemetry.canary_hooks()
+        probe = telemetry.canary_probe
         profiler = self.profiler
         profiled: Optional[Function] = None
-        marked: Optional[Function] = None
-        markers: Dict[int, str] = {}
-        watched: Optional[Function] = None
-        stores: FrozenSet[int] = frozenset()
+        sited: Optional[Function] = None
+        sites: Dict[int, CanarySite] = {}
         try:
             while self.running:
                 function = self._current
@@ -443,21 +412,13 @@ class CPU:
                 self.registers.rip = (name, index + 1)
                 self.charge(instruction_cost(instruction))
                 self.instructions_executed += 1
-                if hooks is not None:
-                    if function is not marked:
-                        marked = function
-                        markers = self._canary_markers(function)
-                    if markers:
-                        marker = markers.get(index)
-                        if marker is not None:
-                            hooks.hit(marker, name, index)
-                watch = self._watch
-                if watch is not None:
-                    if function is not watched:
-                        watched = function
-                        stores = self._canary_stores(function)
-                    if index in stores:
-                        watch(instruction)
+                if function is not sited:
+                    sited = function
+                    sites = self._canary_sites(function)
+                if sites:
+                    site = sites.get(index)
+                    if site is not None:
+                        probe(self, site)
                 self._dispatch(instruction)
         finally:
             if profiler is not None:
@@ -506,40 +467,27 @@ class CPU:
         Steps take their CPU as an argument, so one decode serves every
         CPU that runs on the image: the booted parent, its fork children
         and its threads.  The image's ``shared_decodes`` store holds the
-        step lists, keyed by ``(dbi_multiplier, telemetry generation)``;
-        the image empties it whenever ``code_generation`` moves.  This
-        CPU keeps one :class:`DecodedView` per function — the shared step
-        list plus its own trace-JIT state — and drops them all when the
-        code generation, the telemetry generation (canary-leader wrappers
-        come and go) or its DBI multiplier changes.  A single entry is
-        refreshed when the image maps the name to a different
-        ``Function`` object.
+        step lists, keyed by ``dbi_multiplier``; the image empties it
+        whenever ``code_generation`` moves.  This CPU keeps one
+        :class:`DecodedView` per function — the shared step list plus its
+        own trace-JIT state — and drops them all when the code generation
+        or its DBI multiplier changes.  A single entry is refreshed when
+        the image maps the name to a different ``Function`` object.
+        Telemetry state and the CPU's watch are read by the canary probe
+        at run time, so neither is part of the key.
         """
         views = self._decode_cache
         generation = self.image.code_generation
-        telemetry_generation = telemetry.generation()
         dbi = self.dbi_multiplier
-        if (
-            generation != self._decode_generation
-            or telemetry_generation != self._decode_telemetry_generation
-            or dbi != self._decode_dbi
-        ):
+        if generation != self._decode_generation or dbi != self._decode_dbi:
             views.clear()
             self._decode_generation = generation
-            self._decode_telemetry_generation = telemetry_generation
             self._decode_dbi = dbi
         name = function.name
         view = views.get(name)
         if view is not None and view.function is function:
             return view
-        store = self.image.shared_decodes
-        key = (dbi, telemetry_generation)
-        shared = store.get(key)
-        if shared is None:
-            # Steps wrapped for another telemetry generation are dead.
-            for stale in [k for k in store if k[1] != telemetry_generation]:
-                del store[stale]
-            shared = store[key] = {}
+        shared = self.image.shared_decodes.setdefault(dbi, {})
         decoded = shared.get(name)
         if decoded is None or decoded.function is not function:
             decoder = FunctionDecoder(self.image, _DISPATCH, dbi)
@@ -571,10 +519,10 @@ class CPU:
         arrivals run one Python call for the whole straight-line block,
         with accounting batched at block granularity (exact, because
         blocks only compile when every member cost is integral).
-        Side-exits — SYNC steps, canary group-leaders, watched canary
-        stores, trace-hook arms, block ends — drop back into the step
-        loop below with identical architectural state; faults mid-block
-        reconstruct it from the block's prefix tables.
+        Side-exits — SYNC steps, canary sites, trace-hook arms, block
+        ends — drop back into the step loop below with identical
+        architectural state; faults mid-block reconstruct it from the
+        block's prefix tables.
         """
         registers = self.registers
         tsc = self.tsc

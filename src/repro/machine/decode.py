@@ -35,6 +35,12 @@ accessors (``C.read_word``, ``C.write_word``, ``C.read_byte``,
 image — the booted parent, its fork children and its threads — until the
 image's ``code_generation`` moves (see ``CPU._decoded``).
 
+Canary sites (:func:`repro.telemetry.canary_sites`: group leaders and
+audited C0 stores) carry one extra wrapper that runs the shared
+:func:`repro.telemetry.canary_probe` before the step.  The probe reads
+the telemetry switch and the CPU's watch at run time, so no observation
+state is baked into a step.
+
 Mnemonics without a specialised compiler fall back to a closure over the
 slow-path handler, which keeps semantics authoritative in one place: the
 fast path can be *faster* but never *different*.  The differential test
@@ -43,7 +49,7 @@ fast path can be *faster* but never *different*.  The differential test
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import telemetry
 from ..errors import IllegalInstruction, InvalidJump
@@ -79,17 +85,14 @@ _GPRS = frozenset(GPRS)
 Step = Tuple[Callable[[object], None], float, int, int, Tuple[str, int]]
 
 
-def _watched(execute, instruction: Instruction):
-    """Wrap an audited canary store: hand ``instruction`` to the CPU's
-    watch (``CPU.watch``), if it has one, then execute it."""
+def _probed(execute, site, probe):
+    """Wrap a canary-site step: run the shared probe, then the step."""
 
-    def watched(C) -> None:
-        watch = C._watch
-        if watch is not None:
-            watch(instruction)
+    def probed(C) -> None:
+        probe(C, site)
         execute(C)
 
-    return watched
+    return probed
 
 
 class DecodedFunction:
@@ -97,14 +100,22 @@ class DecodedFunction:
 
     :meth:`FunctionDecoder.decode` builds it and ``CPU._decoded`` files it
     in the image's shared store; each CPU then runs it through its own
-    :class:`DecodedView`.
+    :class:`DecodedView`.  ``sites`` is the function's canary-site table
+    (:func:`repro.telemetry.canary_sites`): every step it names is
+    wrapped with the canary probe, and the trace-JIT side-exits there.
     """
 
-    __slots__ = ("function", "steps")
+    __slots__ = ("function", "steps", "sites")
 
-    def __init__(self, function: Function, steps: List[Step]) -> None:
+    def __init__(
+        self,
+        function: Function,
+        steps: List[Step],
+        sites: Dict[int, telemetry.CanarySite],
+    ) -> None:
         self.function = function
         self.steps = steps
+        self.sites = sites
 
 
 class DecodedView:
@@ -116,15 +127,16 @@ class DecodedView:
     ``None`` for rejected anchors) and ``jit_counts`` holds arrival counts
     for not-yet-hot anchors — because a superblock binds one CPU's
     accessors.  Every event that drops the CPU's views (``code_generation``
-    bump, telemetry generation flip, DBI change, explicit flush) drops the
-    superblocks along with them.
+    bump, DBI change, explicit flush) drops the superblocks along with
+    them.
     """
 
-    __slots__ = ("function", "steps", "jit_blocks", "jit_counts")
+    __slots__ = ("function", "steps", "sites", "jit_blocks", "jit_counts")
 
     def __init__(self, decoded: DecodedFunction) -> None:
         self.function = decoded.function
         self.steps = decoded.steps
+        self.sites = decoded.sites
         self.jit_blocks: dict = {}
         self.jit_counts: dict = {}
 
@@ -133,8 +145,7 @@ class FunctionDecoder:
     """Compiles :class:`Function` bodies into CPU-parametric step lists.
 
     A decoder is bound to one image and one DBI multiplier: besides the
-    function itself and the telemetry hooks, those are the only inputs
-    its steps depend on.
+    function itself, those are the only inputs its steps depend on.
     """
 
     def __init__(self, image, dispatch, dbi_multiplier: float = 1.0) -> None:
@@ -184,11 +195,17 @@ class FunctionDecoder:
     # ------------------------------------------------------------------
 
     def decode(self, function: Function) -> DecodedFunction:
-        """Lower ``function`` into a :class:`DecodedFunction`."""
+        """Lower ``function`` into a :class:`DecodedFunction`.
+
+        Every canary site's step is wrapped once with the canary probe,
+        whatever the telemetry state or watch: the probe decides at run
+        time, so the steps never need re-decoding when either changes.
+        """
         dbi = self.dbi_multiplier
         name = function.name
+        sites = telemetry.canary_sites(function)
+        probe = telemetry.canary_probe
         steps: List[Step] = []
-        canary_store = telemetry.canary_store
         for index, instruction in enumerate(function.body):
             cycles, ticks = step_cost(instruction, dbi)
             compiled = None
@@ -198,23 +215,11 @@ class FunctionDecoder:
             if compiled is None:
                 compiled = self._generic(instruction)
             execute, kind = compiled
-            if canary_store(instruction) is not None:
-                execute = _watched(execute, instruction)
+            site = sites.get(index)
+            if site is not None:
+                execute = _probed(execute, site, probe)
             steps.append((execute, cycles, ticks, kind, (name, index + 1)))
-        hooks = telemetry.canary_hooks()
-        if hooks is not None:
-            # Telemetry: wrap only canary group-leader steps (outside any
-            # watch wrapper, the slow loop's order), so the fast
-            # loop pays nothing on any other step.  Shared step lists are
-            # keyed on the telemetry generation, so these wrappers are
-            # decoded away when telemetry is disabled.
-            for index, marker in telemetry.canary_markers(function).items():
-                execute, cycles, ticks, kind, next_rip = steps[index]
-                steps[index] = (
-                    hooks.wrap(execute, marker, name, index),
-                    cycles, ticks, kind, next_rip,
-                )
-        return DecodedFunction(function, steps)
+        return DecodedFunction(function, steps, sites)
 
     # ------------------------------------------------------------------
     # fallback: wrap the slow-path handler

@@ -22,11 +22,13 @@ Exactness contract (the reason this file is mostly checks):
   architectural state the step loop would have left: ``rip`` of the
   faulting step, accounting through it (the step loop charges before
   executing), and every register/memory effect of the preceding steps.
-* **Side-exits** happen at canary group-leaders, watched canary stores
-  (while the CPU has a ``watch``), SYNC steps (``rdtsc``,
-  calls that can reach natives), block-size caps, and cycle-limit
-  proximity; each returns to the generic step loop with architectural
-  state indistinguishable from never having JIT-compiled at all.
+* **Side-exits** happen at every canary site (group leaders and audited
+  C0 stores, whose decoded steps carry the canary probe), SYNC steps
+  (``rdtsc``, calls that can reach natives), block-size caps, and
+  cycle-limit proximity; each returns to the generic step loop with
+  architectural state indistinguishable from never having JIT-compiled
+  at all.  The exit set is static — it reads neither telemetry state
+  nor the CPU's watch — so no superblock depends on observation state.
 
 The peephole pass is deliberately textual and order-preserving, in the
 spirit of the mini32 exemplar ("if in doubt, leaves code unchanged"):
@@ -615,14 +617,9 @@ def compile_superblock(cpu, decoded: DecodedView, anchor: int):
     steps = decoded.steps
     body = function.body
     total = len(steps)
-    # Side-exits: canary group leaders while telemetry counts them, and
-    # audited canary stores while the CPU has a watch.  Both stay in
-    # the step loop, whose wrapped steps count and watch them.
-    exits = set()
-    if telemetry.canary_hooks() is not None:
-        exits.update(cpu._canary_markers(function))
-    if cpu.watch is not None:
-        exits.update(cpu._canary_stores(function))
+    # Side-exits: every canary site stays in the step loop, whose
+    # wrapped step runs the canary probe.
+    sites = decoded.sites
 
     picked: List[int] = []
     picked_set = set()
@@ -632,8 +629,8 @@ def compile_superblock(cpu, decoded: DecodedView, anchor: int):
     while k < total and len(picked) < MAX_STEPS:
         if k in picked_set:
             break  # walked back into the trace: side-exit, re-dispatch
-        if k in exits:
-            break  # side-exit: leader or watched store stays in the step loop
+        if k in sites:
+            break  # side-exit: the site's probe runs in the step loop
         kind = steps[k][3]
         if kind & SYNC:
             break  # rdtsc / native-charging call need exact accounting

@@ -24,8 +24,7 @@ hit/miss/eviction counters feed the telemetry registry
 (``build_cache_*_total``) plus :meth:`BuildCache.stats` for the
 benchmark gate and the nightly cache-stats artifact.
 
-Environment knobs: ``REPRO_BUILD_CACHE=0`` disables the cache
-entirely; ``REPRO_BUILD_CACHE_SIZE`` overrides the entry bound.
+Environment knob: ``REPRO_BUILD_CACHE=0`` disables the cache entirely.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ TOOLCHAIN_VERSION = 1
 DEFAULT_MAX_ENTRIES = 256
 
 _ENABLE_ENV = "REPRO_BUILD_CACHE"
-_SIZE_ENV = "REPRO_BUILD_CACHE_SIZE"
 
 
 def toolchain_fingerprint(spec) -> str:
@@ -73,9 +71,7 @@ def toolchain_fingerprint(spec) -> str:
 class BuildCache:
     """LRU cache of built binaries, content-addressed by build inputs."""
 
-    def __init__(self, max_entries: Optional[int] = None) -> None:
-        if max_entries is None:
-            max_entries = int(os.environ.get(_SIZE_ENV, DEFAULT_MAX_ENTRIES))
+    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries

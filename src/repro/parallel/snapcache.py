@@ -32,7 +32,6 @@ processes/runs cannot perturb determinism; the equivalence is gated by
 bit).
 
 Environment knobs: ``REPRO_SNAPSHOT_CACHE=0`` disables both tiers;
-``REPRO_SNAPSHOT_CACHE_SIZE`` overrides the LRU entry bound;
 ``REPRO_SNAPSHOT_DIR`` enables the disk tier at that path.
 """
 
@@ -60,7 +59,6 @@ from .buildcache import toolchain_fingerprint
 DEFAULT_MAX_IMAGES = 64
 
 _ENABLE_ENV = "REPRO_SNAPSHOT_CACHE"
-_SIZE_ENV = "REPRO_SNAPSHOT_CACHE_SIZE"
 _DIR_ENV = "REPRO_SNAPSHOT_DIR"
 
 #: Disk-tier file suffix (one image per key).
@@ -72,11 +70,9 @@ class SnapshotCache:
 
     def __init__(
         self,
-        max_entries: Optional[int] = None,
+        max_entries: int = DEFAULT_MAX_IMAGES,
         directory: Optional[str] = None,
     ) -> None:
-        if max_entries is None:
-            max_entries = int(os.environ.get(_SIZE_ENV, DEFAULT_MAX_IMAGES))
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries

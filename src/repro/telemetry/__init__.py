@@ -6,15 +6,15 @@ Public surface:
   registry (:mod:`repro.telemetry.registry`).
 * :func:`ring` / :class:`EventRing` — the canary lifecycle event stream
   (:mod:`repro.telemetry.events`).
-* :func:`canary_markers` — shared group-leader map both interpreter
-  paths count from, and :func:`canary_store` / :func:`canary_stores` —
-  the audited canary stores both paths hand a CPU's watch
-  (:mod:`repro.telemetry.markers`).
+* :func:`canary_sites` / :class:`CanarySite` — the one table of canary
+  sites (group leaders and audited C0 stores) every interpreter tier
+  observes, and :func:`canary_probe` — the one probe they observe them
+  with (:mod:`repro.telemetry.markers`).
 * Recording helpers (:func:`count`, :func:`observe`, :func:`event`,
-  :func:`machine_flush`, :func:`canary_hooks`) — every one is a no-op
-  when telemetry is disabled, and none is ever called per instruction
-  on the fast path: the CPU flushes batched totals at run boundaries
-  and only decode-time canary group leaders carry a wrapped step.
+  :func:`machine_flush`) — every one is a no-op when telemetry is
+  disabled, and none is ever called per instruction on the fast path:
+  the CPU flushes batched totals at run boundaries and only canary-site
+  steps carry a wrapped probe.
 
 The profiler lives in :mod:`repro.telemetry.profile`; it is imported
 lazily (by the CLI and tests) because it pulls in the harness layer,
@@ -23,16 +23,15 @@ which would otherwise create an import cycle with the machine package.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .events import EVENT_KINDS, Event, EventRing, ring
 from .markers import (
     EPILOGUE_NOTES,
     NOTE_GROUPS,
     PROLOGUE_NOTES,
-    canary_markers,
-    canary_store,
-    canary_stores,
+    CanarySite,
+    canary_sites,
 )
 from .registry import (
     DEFAULT_BUCKETS,
@@ -47,12 +46,11 @@ from .registry import (
 __all__ = [
     "Counter", "Gauge", "Histogram", "Registry", "Snapshot",
     "Event", "EventRing", "EVENT_KINDS", "DEFAULT_BUCKETS",
-    "NOTE_GROUPS", "PROLOGUE_NOTES", "EPILOGUE_NOTES", "canary_markers",
-    "canary_store", "canary_stores",
-    "registry", "ring", "enabled", "enable", "disable", "generation",
+    "NOTE_GROUPS", "PROLOGUE_NOTES", "EPILOGUE_NOTES", "CanarySite",
+    "canary_sites", "canary_probe",
+    "registry", "ring", "enabled", "enable", "disable",
     "reset", "snapshot", "delta", "absorb", "count", "observe", "event",
     "sampled_event", "counter_value", "machine_flush", "jit_flush",
-    "canary_hooks", "CanaryHooks",
 ]
 
 #: Run-cycle histogram buckets (simulated cycles per run-loop entry).
@@ -75,11 +73,6 @@ def enable() -> None:
 
 def disable() -> None:
     registry().disable()
-
-
-def generation() -> int:
-    """Registry state generation (decode caches key off this)."""
-    return registry().generation
 
 
 def reset() -> None:
@@ -149,7 +142,7 @@ def counter_value(name: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# machine hooks: batch-boundary flush + canary group-leader counting
+# machine hooks: batch-boundary flushes + the canary-site probe
 # ---------------------------------------------------------------------------
 
 class _MachineCounters:
@@ -173,37 +166,6 @@ class _MachineCounters:
         )
 
 
-_machine_cache: Tuple[int, Optional[_MachineCounters]] = (-1, None)
-
-
-def _machine() -> Optional[_MachineCounters]:
-    global _machine_cache
-    reg = registry()
-    cached_generation, cached = _machine_cache
-    if cached_generation == reg.generation:
-        return cached
-    counters = _MachineCounters(reg) if reg.enabled else None
-    _machine_cache = (reg.generation, counters)
-    return counters
-
-
-def machine_flush(cycles: float, instructions: int) -> None:
-    """Flush one run loop's batched accounting into the registry.
-
-    Called once per ``CPU._run_loop`` return — never per instruction —
-    with the exact deltas the loop already computed for its own batched
-    accounting, so telemetry-on and telemetry-off runs report identical
-    ``CPU.cycles`` / ``instructions_executed``.
-    """
-    counters = _machine()
-    if counters is None:
-        return
-    counters.instructions.value += instructions
-    counters.cycles.value += cycles
-    counters.runs.value += 1
-    counters.run_cycles.observe(cycles)
-
-
 class _JitCounters:
     """Bound instrument references for the fast loop's JIT flush."""
 
@@ -219,18 +181,36 @@ class _JitCounters:
         )
 
 
-_jit_cache: Tuple[int, Optional[_JitCounters]] = (-1, None)
+_bound: Dict[type, object] = {}
 
 
-def _jit() -> Optional[_JitCounters]:
-    global _jit_cache
-    reg = registry()
-    cached_generation, cached = _jit_cache
-    if cached_generation == reg.generation:
-        return cached
-    counters = _JitCounters(reg) if reg.enabled else None
-    _jit_cache = (reg.generation, counters)
-    return counters
+def _instruments(bind):
+    """``bind(registry())``, built once.
+
+    The registry never drops an instrument (``reset`` zeroes in place),
+    so bound references stay valid across enable/disable/reset.
+    """
+    instruments = _bound.get(bind)
+    if instruments is None:
+        instruments = _bound[bind] = bind(registry())
+    return instruments
+
+
+def machine_flush(cycles: float, instructions: int) -> None:
+    """Flush one run loop's batched accounting into the registry.
+
+    Called once per ``CPU._run_loop`` return — never per instruction —
+    with the exact deltas the loop already computed for its own batched
+    accounting, so telemetry-on and telemetry-off runs report identical
+    ``CPU.cycles`` / ``instructions_executed``.
+    """
+    if not registry().enabled:
+        return
+    counters = _instruments(_MachineCounters)
+    counters.instructions.value += instructions
+    counters.cycles.value += cycles
+    counters.runs.value += 1
+    counters.run_cycles.observe(cycles)
 
 
 def jit_flush(entries: int, side_exits: int) -> None:
@@ -240,80 +220,54 @@ def jit_flush(entries: int, side_exits: int) -> None:
     return (and only when at least one superblock ran), never per
     block entry.
     """
-    counters = _jit()
-    if counters is None:
+    if not registry().enabled:
         return
+    counters = _instruments(_JitCounters)
     counters.entries.value += entries
     counters.side_exits.value += side_exits
 
 
-class CanaryHooks:
-    """Group-leader counting shared by both interpreter paths.
+#: Bound once: the probe runs on every executed canary site.
+_REGISTRY = registry()
+_RING = ring()
+#: The probe's leader counters, registered up front so every snapshot
+#: lists them, at zero when no protected code ran.
+_LEADER_COUNTERS = {
+    "prologue": _REGISTRY.counter(
+        "canary_prologue_stores_total",
+        "canary prologue regions executed (group leaders)",
+    ),
+    "epilogue": _REGISTRY.counter(
+        "canary_epilogue_checks_total",
+        "canary epilogue checks executed (group leaders)",
+    ),
+}
+_LEADER_EVENTS = {"prologue": "prologue-store", "epilogue": "epilogue-check"}
 
-    The decoder calls :meth:`wrap` on leader steps (fast path: one extra
-    closure on the handful of canary leaders, nothing on any other
-    step); the slow loop calls :meth:`hit` when stepping onto a leader
-    index.  Both funnel into the same two counters, so the paths agree
-    exactly by construction.
+
+def canary_probe(C, site: CanarySite) -> None:
+    """Observe one executed canary site on CPU ``C``.
+
+    The one probe of every interpreter tier: decoded site steps run it
+    before their semantics, the slow loop calls it at the same point
+    (after the charge and the cycle-limit check), and the trace-JIT
+    side-exits at every site so no superblock runs one inline.
+
+    A group leader bumps its counter (plus the sampled ring event) while
+    telemetry is enabled; the check is made here, at run time, so
+    decoded steps never depend on telemetry state.  An audited store is
+    handed to ``C.watch(kind, instruction)`` when the CPU has a watch.
     """
-
-    __slots__ = ("prologues", "epilogues", "_ring")
-
-    def __init__(self, reg: Registry) -> None:
-        self.prologues = reg.counter(
-            "canary_prologue_stores_total",
-            "canary prologue regions executed (group leaders)",
-        )
-        self.epilogues = reg.counter(
-            "canary_epilogue_checks_total",
-            "canary epilogue checks executed (group leaders)",
-        )
-        self._ring = ring()
-
-    def wrap(self, execute, marker: str, function: str, index: int):
-        """Wrap a leader step closure with its counter bump.
-
-        Steps are CPU-parametric (``execute(C)``), so the wrapper takes
-        the CPU and forwards it.
-        """
-        counter = self.prologues if marker == "prologue" else self.epilogues
-        event_kind = (
-            "prologue-store" if marker == "prologue" else "epilogue-check"
-        )
-        event_ring = self._ring
-
-        def counted(C) -> None:
-            counter.value += 1
-            if event_ring.sample_every > 0:
-                event_ring.emit_sampled(
-                    event_kind, function=function, index=index
-                )
-            execute(C)
-
-        return counted
-
-    def hit(self, marker: str, function: str, index: int) -> None:
-        """Slow-path equivalent of an executed wrapped leader."""
-        counter = self.prologues if marker == "prologue" else self.epilogues
-        counter.value += 1
-        if self._ring.sample_every > 0:
-            self._ring.emit_sampled(
-                "prologue-store" if marker == "prologue" else "epilogue-check",
-                function=function,
-                index=index,
+    leader = site.leader
+    if leader is not None and _REGISTRY.enabled:
+        _LEADER_COUNTERS[leader].value += 1
+        if _RING.sample_every > 0:
+            _RING.emit_sampled(
+                _LEADER_EVENTS[leader],
+                function=site.function, index=site.index,
             )
-
-
-_hooks_cache: Tuple[int, Optional[CanaryHooks]] = (-1, None)
-
-
-def canary_hooks() -> Optional[CanaryHooks]:
-    """Current canary hooks, or ``None`` while telemetry is disabled."""
-    global _hooks_cache
-    reg = registry()
-    cached_generation, cached = _hooks_cache
-    if cached_generation == reg.generation:
-        return cached
-    hooks = CanaryHooks(reg) if reg.enabled else None
-    _hooks_cache = (reg.generation, hooks)
-    return hooks
+    store = site.store
+    if store is not None:
+        watch = C.watch
+        if watch is not None:
+            watch(store, site.instruction)

@@ -1,4 +1,4 @@
-"""Canary group-leader detection from instruction provenance notes.
+"""Canary sites — group leaders and audited stores — from provenance notes.
 
 Protection passes tag every instruction they emit with a ``note``
 ("pssp-prologue", "dcr-epilogue", ...).  Telemetry counts *dynamic*
@@ -14,21 +14,22 @@ So each maximal run of same-group tagged instructions is one *region*
 and only its first instruction — the **group leader** — is counted.
 Every scheme enters its regions from the top (internal retry loops jump
 back *past* the leader), so the leader executes exactly once per dynamic
-prologue/epilogue, and both interpreter paths count the same leaders:
-the fast path wraps the leader's step closure at decode time, the slow
-path consults the same map per function.  That shared map is what makes
-the fast/slow canary counters bit-identical by construction.
+prologue/epilogue.
 
-The same idea carries the chaos auditor's *canary-store watch*: one
-predicate, :func:`canary_store`, picks the NT prologue's C0 stores; the
-decoder wraps exactly those steps and the slow loop consults the same
-per-function index set (:func:`canary_stores`), so both paths hand the
-watch exactly the stores that execute.
+The chaos auditor's audited **C0 stores** (the NT prologue's per-call
+canary write and its fallback) are sites of the same kind: static,
+picked out by note.  :func:`canary_sites` is the one table of both; it
+maps each instruction index to a :class:`CanarySite`.  Every interpreter
+tier observes the table's sites the same way, through the one probe
+(:func:`repro.telemetry.canary_probe`): the decoder wraps each site
+step with it, the slow loop calls it from the same table, and the JIT
+side-exits at every site.  That shared table is what makes the
+fast/slow canary counters and watched stores identical by construction.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from ..isa.instructions import Mem, Reg
 
@@ -71,29 +72,27 @@ EPILOGUE_NOTES = frozenset(
 )
 
 
-def canary_markers(function) -> Dict[int, str]:
-    """Map group-leader indices to ``"prologue"`` / ``"epilogue"``.
+class CanarySite(NamedTuple):
+    """One canary site: what the shared probe does at one instruction.
 
-    ``function`` needs only a ``body`` of instructions carrying ``note``
-    attributes (duck-typed so rewritten clones work too).
+    ``leader`` is ``"prologue"`` / ``"epilogue"`` for a group leader
+    (telemetry counts it), ``store`` is ``"fresh"`` / ``"fallback"`` for
+    an audited C0 store (handed to the CPU's watch); an instruction can
+    be both.  ``function`` and ``index`` locate it, ``instruction`` is
+    the instruction itself.
     """
-    markers: Dict[int, str] = {}
-    previous: Tuple[str, str] = ("", "")
-    for index, instruction in enumerate(function.body):
-        entry = NOTE_GROUPS.get(getattr(instruction, "note", ""))
-        if entry is None:
-            previous = ("", "")
-            continue
-        if entry != previous:
-            markers[index] = entry[0]
-        previous = entry
-    return markers
+
+    function: str
+    index: int
+    instruction: object
+    leader: Optional[str]
+    store: Optional[str]
 
 
 _RAX = Reg("rax")
 
 
-def canary_store(instruction) -> Optional[str]:
+def _store_kind(instruction) -> Optional[str]:
     """``"fresh"`` / ``"fallback"`` for an audited C0 store, else ``None``.
 
     Audited stores are the hardened NT prologue's per-call draw
@@ -120,9 +119,26 @@ def canary_store(instruction) -> Optional[str]:
     return None
 
 
-def canary_stores(function) -> FrozenSet[int]:
-    """Indices of ``function``'s audited canary stores (see above)."""
-    return frozenset(
-        index for index, instruction in enumerate(function.body)
-        if canary_store(instruction) is not None
-    )
+def canary_sites(function) -> Dict[int, CanarySite]:
+    """Map ``function``'s instruction indices to their canary sites.
+
+    ``function`` needs only a ``name`` and a ``body`` of instructions
+    carrying ``note`` attributes (duck-typed so rewritten clones work
+    too).  Indices that are neither a group leader nor an audited store
+    are absent.
+    """
+    sites: Dict[int, CanarySite] = {}
+    previous: Tuple[str, str] = ("", "")
+    for index, instruction in enumerate(function.body):
+        entry = NOTE_GROUPS.get(getattr(instruction, "note", ""))
+        if entry is None:
+            previous = ("", "")
+            continue
+        leader = entry[0] if entry != previous else None
+        previous = entry
+        store = _store_kind(instruction)
+        if leader is not None or store is not None:
+            sites[index] = CanarySite(
+                function.name, index, instruction, leader, store
+            )
+    return sites

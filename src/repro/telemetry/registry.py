@@ -15,9 +15,9 @@ Instrument taxonomy (documented in docs/observability.md):
 * :class:`Histogram` — fixed upper-bound buckets chosen at creation;
   ``observe`` is O(buckets) with no allocation.
 
-Enable/disable is global and **generational**: every state flip bumps
-``Registry.generation``, which the CPU's decode cache watches so stale
-telemetry wrappers are re-decoded away instead of checked per step.
+Enable/disable is one global flag, read at run time: decoded steps and
+compiled superblocks never depend on it, so flipping it invalidates
+nothing.
 """
 
 from __future__ import annotations
@@ -218,10 +218,6 @@ class Registry:
     def __init__(self) -> None:
         self._instruments: Dict[str, Instrument] = {}
         self.enabled = True
-        #: Bumped on every enable/disable/reset so decode-time telemetry
-        #: wrappers (bound when a function was lowered) can be invalidated
-        #: with one integer compare instead of per-step checks.
-        self.generation = 0
 
     # -- instrument creation / lookup ------------------------------------
 
@@ -268,20 +264,15 @@ class Registry:
     # -- state -----------------------------------------------------------
 
     def enable(self) -> None:
-        if not self.enabled:
-            self.enabled = True
-            self.generation += 1
+        self.enabled = True
 
     def disable(self) -> None:
-        if self.enabled:
-            self.enabled = False
-            self.generation += 1
+        self.enabled = False
 
     def reset(self) -> None:
         """Zero every instrument (structure kept, values dropped)."""
         for instrument in self._instruments.values():
             instrument.reset()
-        self.generation += 1
 
     def absorb(self, snapshot: "Snapshot") -> None:
         """Fold a (merged) worker snapshot into this registry.

@@ -1,10 +1,11 @@
 """The canary auditor's watch: audited fast runs ≡ audited slow runs.
 
 The chaos auditor observes canary stores through ``CPU.watch``, which
-both interpreter loops honour, so faulted chaos runs take the default
-fast path.  The oracle is the slow loop, reached by monkeypatching the
-campaign's ``deploy`` to ``fast=False``: every run, its auditor state
-and its report must be identical down both paths.
+the canary probe feeds in every interpreter tier, so faulted chaos runs
+take the default fast path.  The oracle is the slow loop, reached by
+monkeypatching the campaign's ``deploy`` to ``fast=False``: every run,
+its auditor state, its report and the probe's full call sequence must
+be identical down the slow loop, the fast loop and the JIT-on fast loop.
 """
 
 import functools
@@ -12,6 +13,7 @@ from typing import Dict, List
 
 import pytest
 
+from repro import telemetry
 from repro.core.deploy import build, deploy
 from repro.faults import campaign
 from repro.faults.campaign import (
@@ -71,9 +73,22 @@ int main() {{
 """
 
 
-def _audited(run, *, slow: bool):
-    """``run()`` with every auditor recorded; ``slow`` forces the oracle."""
+def _recording_probe(patch, calls: list) -> None:
+    """Record every canary-probe call as ``(kind, function, index)``."""
+    probe = telemetry.canary_probe
+
+    def recording(C, site) -> None:
+        calls.append((site.leader or site.store, site.function, site.index))
+        probe(C, site)
+
+    patch.setattr(telemetry, "canary_probe", recording)
+
+
+def _audited(run, *, tier: str):
+    """``run()`` down ``tier`` — ``"slow"`` (the oracle), ``"fast"`` (JIT
+    off) or ``"jit"`` — recording every auditor and probe call."""
     auditors: List[CanaryAuditor] = []
+    probes: list = []
 
     class Recording(CanaryAuditor):
         def __init__(self, plane) -> None:
@@ -82,22 +97,27 @@ def _audited(run, *, slow: bool):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(campaign, "CanaryAuditor", Recording)
-        if slow:
+        _recording_probe(patch, probes)
+        if tier == "slow":
             patch.setattr(campaign, "deploy", functools.partial(deploy, fast=False))
+        patch.setenv("REPRO_JIT", "1" if tier == "jit" else "0")
         result = run()
     state = [
         (a.fresh_values, a.fallback_stores, a.zero_stores, a.fallback_mismatches)
         for a in auditors
     ]
-    return result, state
+    return result, state, probes
 
 
-def _assert_fast_equals_slow(run) -> list:
-    fast, fast_state = _audited(run, slow=False)
-    slow, slow_state = _audited(run, slow=True)
-    assert fast.to_json() == slow.to_json()
-    assert fast_state == slow_state
-    return fast_state
+def _assert_fast_equals_slow(run):
+    """Auditor state and probe calls of ``run``, identical on every tier."""
+    slow, slow_state, slow_probes = _audited(run, tier="slow")
+    for tier in ("fast", "jit"):
+        result, state, probes = _audited(run, tier=tier)
+        assert result.to_json() == slow.to_json(), tier
+        assert state == slow_state, tier
+        assert probes == slow_probes, tier
+    return slow_state, slow_probes
 
 
 @functools.lru_cache(maxsize=None)
@@ -123,7 +143,8 @@ class TestAuditedFastEqualsSlow:
         "case", canned_invariant_cases(), ids=lambda c: c.name
     )
     def test_canned_case(self, case):
-        state = _assert_fast_equals_slow(lambda: run_canned_case(case))
+        state, probes = _assert_fast_equals_slow(lambda: run_canned_case(case))
+        assert probes
         if case.require_store:
             fresh, fallbacks = state[0][0], state[0][1]
             assert fresh or fallbacks
@@ -131,28 +152,44 @@ class TestAuditedFastEqualsSlow:
     def test_thirty_seeds_cover_every_schedule_kind(self):
         kinds = _seeds_by_kind(per_kind=3)
         assert len(kinds) == SCHEDULE_KINDS
-        seen = 0
+        seen = leaders = 0
         for seeds in kinds.values():
             for seed in seeds:
-                state = _assert_fast_equals_slow(lambda: run_chaos_case(seed))
+                state, probes = _assert_fast_equals_slow(
+                    lambda: run_chaos_case(seed)
+                )
                 seen += len(state[0][0]) + state[0][1]
+                leaders += sum(
+                    kind in ("prologue", "epilogue") for kind, _, _ in probes
+                )
         assert seen, "no audited store in thirty seeds: the check is vacuous"
+        assert leaders, "no group leader in thirty seeds: the check is vacuous"
 
     def test_fork_and_thread_reattach(self):
-        def run(fast: bool):
+        def run(tier: str):
             kernel = Kernel(2018)
             binary = build(FORK_AND_THREAD, "pssp-nt-hardened", name="ft")
-            process, _ = deploy(kernel, binary, "pssp-nt-hardened", fast=fast)
-            auditor = CanaryAuditor(FaultPlane(FaultSchedule("pssp-nt-hardened")))
-            auditor.attach(process)
-            result = process.run()
+            probes: list = []
+            with pytest.MonkeyPatch.context() as patch:
+                _recording_probe(patch, probes)
+                process, _ = deploy(
+                    kernel, binary, "pssp-nt-hardened", fast=tier != "slow"
+                )
+                process.cpu.jit = tier == "jit"
+                auditor = CanaryAuditor(
+                    FaultPlane(FaultSchedule("pssp-nt-hardened"))
+                )
+                auditor.attach(process)
+                result = process.run()
             assert result.state == "exited"
-            return auditor.fresh_values
+            return auditor.fresh_values, probes
 
-        fast, slow = run(True), run(False)
-        assert fast == slow
+        slow = run("slow")
+        assert run("fast") == slow and run("jit") == slow
         # main, the thread, the forked child, and main again.
-        assert len(fast) == 4 and all(fast)
+        fresh, probes = slow
+        assert len(fresh) == 4 and all(fresh)
+        assert sum(kind == "fresh" for kind, _, _ in probes) == 4
 
 
 class TestWatchSemantics:
@@ -168,7 +205,7 @@ class TestWatchSemantics:
     def _watched(self, process, note_cycles=False):
         seen = []
         cpu = process.cpu
-        process.cpu.watch = lambda instruction: seen.append(
+        process.cpu.watch = lambda kind, instruction: seen.append(
             (cpu.cycles, cpu.registers.read("rax")) if note_cycles
             else cpu.registers.read("rax")
         )
@@ -211,17 +248,35 @@ class TestWatchSemantics:
         assert len(seen) == HOT_CALLS and all(seen)
         assert seen == expected
 
-    def test_arming_a_watch_drops_superblocks_compiled_without_one(self):
-        process = self._spawn(HOT_LOOP)
-        process.cpu.jit = True
-        for i in range(HOT_CALLS):
-            process.call("worker", (i,))
-        views = process.cpu._decode_cache.values()
-        assert any(b is not None for v in views for b in v.jit_blocks.values())
-        seen = self._watched(process)
-        for i in range(HOT_CALLS):
-            process.call("worker", (i,))
-        assert len(seen) == HOT_CALLS
+    def test_watch_armed_over_compiled_superblocks_sees_every_store(self):
+        def superblocks(process):
+            return {
+                (name, index): block
+                for name, view in process.cpu._decode_cache.items()
+                for index, block in view.jit_blocks.items()
+                if block is not None
+            }
+
+        def rerun_watched(fast: bool):
+            process = self._spawn(HOT_LOOP, fast=fast)
+            process.cpu.jit = fast
+            assert process.run().state == "exited"
+            compiled = superblocks(process)
+            invalidations = telemetry.counter_value("jit_invalidations_total")
+            seen = self._watched(process)
+            assert process.call("main").state == "exited"
+            assert superblocks(process) == compiled, "arming flushes nothing"
+            assert (
+                telemetry.counter_value("jit_invalidations_total")
+                == invalidations
+            )
+            return seen, compiled
+
+        seen, compiled = rerun_watched(fast=True)
+        assert compiled, "the loop must have compiled superblocks"
+        expected, _ = rerun_watched(fast=False)
+        assert len(seen) == HOT_CALLS and all(seen)
+        assert seen == expected
 
     def test_run_campaign_never_enters_the_slow_loop(self, monkeypatch):
         entered = []

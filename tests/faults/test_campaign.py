@@ -234,10 +234,7 @@ def _observe_fresh(auditor, value):
     process = SimpleNamespace(
         cpu=SimpleNamespace(registers=SimpleNamespace(read=lambda _name: value))
     )
-    instruction = SimpleNamespace(
-        op="mov", note="pssp-nt-hardened-c0", operands=[]
-    )
-    auditor._observe(process, instruction)
+    auditor._observe(process, "fresh")
 
 
 def _observe_fallback(auditor, value, shadow_c0):
@@ -245,10 +242,7 @@ def _observe_fallback(auditor, value, shadow_c0):
         cpu=SimpleNamespace(registers=SimpleNamespace(read=lambda _name: value)),
         tls=SimpleNamespace(shadow_c0=shadow_c0),
     )
-    instruction = SimpleNamespace(
-        op="mov", note="pssp-nt-fallback-c0", operands=[]
-    )
-    auditor._observe(process, instruction)
+    auditor._observe(process, "fallback")
 
 
 class TestCanaryAuditor:

@@ -6,8 +6,13 @@ Two claims, both enforced exactly:
   exit status of the simulated run (counters are flushed from the
   deltas the CPU computes anyway).
 * Both interpreter paths must report identical counter deltas — the
-  fast path counts canary group leaders via decode-time wrapped steps,
-  the slow oracle counts the same leaders at the same retire point.
+  fast path counts canary group leaders through the canary probe its
+  decoded site steps are wrapped with, the slow oracle calls the same
+  probe on the same leaders at the same retire point.
+
+Telemetry state is read at run time, never baked into decoded steps or
+superblocks: flipping it switches the counts on every tier and
+invalidates nothing.
 """
 
 import warnings
@@ -59,11 +64,40 @@ PARITY_COUNTERS = (
 )
 
 
-def _run(source, scheme, *, fast, seed=71):
+#: Interpreter tiers: the slow oracle, the decoded-step loop with the
+#: JIT off, and the decoded-step loop with the JIT on.
+TIERS = ("slow", "fast", "jit")
+
+
+def _deploy(source, scheme, *, tier, seed=71):
     kernel = Kernel(seed)
     binary = build(source, scheme, name="telemetry-diff")
-    process, _ = deploy(kernel, binary, scheme, fast=fast)
-    return process.run()
+    process, _ = deploy(kernel, binary, scheme, fast=tier != "slow")
+    process.cpu.jit = tier == "jit"
+    return process
+
+
+def _run(source, scheme, *, fast, seed=71):
+    return _deploy(
+        source, scheme, tier="fast" if fast else "slow", seed=seed
+    ).run()
+
+
+def _decodes(process):
+    return {
+        name: decoded
+        for table in process.image.shared_decodes.values()
+        for name, decoded in table.items()
+    }
+
+
+def _superblocks(process):
+    return {
+        (name, index): block
+        for name, view in process.cpu._decode_cache.items()
+        for index, block in view.jit_blocks.items()
+        if block is not None
+    }
 
 
 @pytest.mark.parametrize("scheme", ["ssp", "pssp", "pssp-nt", "pssp-owf"])
@@ -98,48 +132,61 @@ def test_enabling_telemetry_is_bit_identical(fast):
     assert enabled.state == disabled.state
 
 
-def test_disabled_runs_record_nothing():
+@pytest.mark.parametrize("tier", TIERS)
+def test_disabled_runs_record_nothing(tier):
+    process = _deploy(SOURCE, "pssp", tier=tier)
     before = telemetry.snapshot()
     telemetry.disable()
     try:
-        _run(SOURCE, "pssp", fast=True)
+        result = process.run()
     finally:
         telemetry.enable()
     delta = telemetry.delta(before)
     assert all(
         delta.get(name, 0) == 0 for name in PARITY_COUNTERS
     ), delta
+    assert delta.get("jit_block_entries_total", 0) == 0, delta
+    if tier == "jit":
+        assert _superblocks(process), "the disabled run still compiled"
+    assert result.exit_status == _run(SOURCE, "pssp", fast=False).exit_status
 
 
-def test_generation_invalidates_cached_decode_wrappers():
-    """Flipping telemetry between calls on one live CPU takes effect.
-
-    The decode cache holds wrapped (or unwrapped) canary steps; the
-    registry generation must invalidate them in both directions.
-    """
-    kernel = Kernel(71)
-    binary = build(SOURCE, "pssp", name="telemetry-gen")
-    process, _ = deploy(kernel, binary, "pssp", fast=True)
+@pytest.mark.parametrize("tier", TIERS)
+def test_telemetry_flips_keep_decodes_and_switch_counts(tier):
+    """disable/enable/reset on one live CPU switch the counts and
+    invalidate nothing: the image keeps the same ``DecodedFunction``
+    objects, the CPU keeps its superblocks, and
+    ``jit_invalidations_total`` does not move."""
+    process = _deploy(SOURCE, "pssp", tier=tier)
     process.run()
+    decodes = _decodes(process)
+    blocks = _superblocks(process)
+    invalidations = telemetry.counter_value("jit_invalidations_total")
+    assert bool(decodes) == (tier != "slow")
+    assert bool(blocks) == (tier == "jit")
 
-    before = telemetry.snapshot()
-    process.call("work", (12,))
-    counted = telemetry.delta(before)["canary_prologue_stores_total"]
-    assert counted == 1
-
-    telemetry.disable()
-    try:
+    def prologues() -> int:
         before = telemetry.snapshot()
         process.call("work", (12,))
-        assert telemetry.delta(before).get(
-            "canary_prologue_stores_total", 0
-        ) == 0
+        return telemetry.delta(before).get("canary_prologue_stores_total", 0)
+
+    assert prologues() == 1
+    telemetry.disable()
+    try:
+        assert prologues() == 0
     finally:
         telemetry.enable()
+    assert prologues() == 1
+    assert telemetry.counter_value("jit_invalidations_total") == invalidations
+    telemetry.reset()
+    assert prologues() == 1
+    assert telemetry.counter_value("jit_invalidations_total") == 0
 
-    before = telemetry.snapshot()
-    process.call("work", (12,))
-    assert telemetry.delta(before)["canary_prologue_stores_total"] == 1
+    after = _decodes(process)
+    assert after.keys() == decodes.keys()
+    assert all(after[name] is decoded for name, decoded in decodes.items())
+    compiled = _superblocks(process)
+    assert all(compiled.get(key) is block for key, block in blocks.items())
 
 
 def test_smash_increments_counter_and_emits_event():

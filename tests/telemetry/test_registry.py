@@ -91,17 +91,6 @@ class TestRegistry:
             "bounds": [10.0], "counts": [0, 1], "sum": 100.0, "count": 1,
         }
 
-    def test_generation_bumps_only_on_state_flips(self):
-        registry = Registry()
-        start = registry.generation
-        registry.enable()           # already enabled: no bump
-        assert registry.generation == start
-        registry.disable()
-        registry.disable()          # already disabled: no bump
-        registry.enable()
-        registry.reset()
-        assert registry.generation == start + 3
-
     def test_reset_zeroes_but_keeps_structure(self):
         registry = Registry()
         registry.counter("a", "kept help").add(9)
@@ -273,11 +262,3 @@ class TestModuleHelpers:
         finally:
             telemetry.enable()
         assert len(telemetry.ring().events()) == held
-
-    def test_canary_hooks_none_while_disabled(self):
-        telemetry.disable()
-        try:
-            assert telemetry.canary_hooks() is None
-        finally:
-            telemetry.enable()
-        assert telemetry.canary_hooks() is not None
