@@ -14,6 +14,7 @@ library (§V-A).
 from __future__ import annotations
 
 import bisect
+import weakref
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import InvalidJump, LinkError
@@ -21,6 +22,23 @@ from ..isa.encoding import encoded_length
 from ..isa.instructions import Function
 from ..machine.memory import CODE_BASE, Memory
 from .elf import Binary
+
+
+class DecodeStore(dict):
+    """Decoded step lists, ``dbi_multiplier -> {name: DecodedFunction}``.
+
+    Every step in the store was decoded against :attr:`image`: steps close
+    over its ``resolve``/``function``/``address_of``, so they are valid
+    for any image whose layout and ``Function`` bodies equal it.  That is
+    the image itself, or, for the store a spawn template hands out, every
+    unpatched clone of the template (see :meth:`LoadedImage.clone`).
+    """
+
+    __slots__ = ("image", "__weakref__")
+
+    def __init__(self, image: "LoadedImage") -> None:
+        super().__init__()
+        self.image = image
 
 
 class LoadedImage:
@@ -46,20 +64,24 @@ class LoadedImage:
         self._next_code = code_base
         #: Monotonic counter bumped on every code change (new function,
         #: rewriter patch via ``add_function(replace=True)``, or
-        #: :meth:`invalidate_code`).  Each bump empties
-        #: :attr:`shared_decodes`, and every CPU running on this image
-        #: drops its views of the old step lists the next time it
-        #: switches function.  Loaded ``Function`` bodies must otherwise
-        #: be treated as immutable; in-place patches must go through
+        #: :meth:`invalidate_code`).  Each bump gives this image a fresh
+        #: :attr:`shared_decodes`, and every CPU running on it drops its
+        #: views of the old step lists the next time it switches
+        #: function.  Loaded ``Function`` bodies must otherwise be
+        #: treated as immutable; in-place patches must go through
         #: :meth:`add_function` (or call :meth:`invalidate_code`) to be
         #: picked up.
         self.code_generation = 0
         #: Decoded step lists shared by every CPU that runs on this image
-        #: (the booted parent, its fork children and its threads):
-        #: ``dbi_multiplier -> {function name: DecodedFunction}``.  Filled
-        #: by ``CPU._decoded``; never copied by :meth:`clone`, so each
-        #: spawn from a warmed image starts cold.
-        self.shared_decodes: Dict[float, Dict[str, object]] = {}
+        #: (the booted parent, its fork children and its threads), and by
+        #: every live unpatched clone of the same spawn template.  Filled
+        #: by ``CPU._decoded``, which decodes against ``.image`` of the
+        #: store: this image, or the template it was cloned from.
+        self.shared_decodes = DecodeStore(self)
+        #: The store handed to this image's clones, held weakly: each
+        #: clone holds it strongly, so it lives exactly as long as some
+        #: clone does (see :meth:`clone`).
+        self._clone_decodes: Optional[weakref.ref] = None
 
     # -- construction --------------------------------------------------------
 
@@ -97,9 +119,14 @@ class LoadedImage:
         Layout tables are copied (so ``add_function(replace=True)``
         patches stay private to one process), while the immutable
         ``Function`` bodies are shared — the same sharing ``fork``
-        already relies on when parent and child reuse one image.  The
-        decoded steps are not: the twin starts with an empty
-        :attr:`shared_decodes`.
+        already relies on when parent and child reuse one image.
+
+        The decoded steps are shared too: every clone alive at once gets
+        the same :attr:`shared_decodes`, decoded against this image (the
+        spawn template, which must not be patched once cloned).  This
+        image holds that store only weakly, so it goes when the last
+        clone does and a template never keeps decodes alive by itself.
+        A clone that patches its code detaches (:meth:`invalidate_code`).
         """
         twin = LoadedImage(self.code_base)
         twin._functions = dict(self._functions)
@@ -109,13 +136,23 @@ class LoadedImage:
         twin._data_symbols = dict(self._data_symbols)
         twin._next_code = self._next_code
         twin.code_generation = self.code_generation
+        store = self._clone_decodes() if self._clone_decodes else None
+        if store is None:
+            store = DecodeStore(self)
+            self._clone_decodes = weakref.ref(store)
+        twin.shared_decodes = store
         return twin
 
     def invalidate_code(self) -> None:
         """Force CPUs to re-decode: call after mutating a loaded body in
-        place (the rewriter's splice path does this for you)."""
+        place (the rewriter's splice path does this for you).
+
+        The image detaches from the store it shared: it gets a fresh one,
+        decoded against itself, and any sibling clones keep theirs.
+        """
         self.code_generation += 1
-        self.shared_decodes.clear()
+        self.shared_decodes = DecodeStore(self)
+        self._clone_decodes = None
 
     def _insert_entry(self, entry: int, name: str) -> None:
         position = bisect.bisect_left(self._entries, entry)

@@ -52,17 +52,23 @@ def planted(mutant: Mutant):
     toolchain change the build cache's content address cannot see — so
     the cache is dropped on both edges: images built pre-mutant must
     not satisfy in-mutant builds, and mutant-built images must not
-    leak back into the clean tree.
+    leak back into the clean tree.  The spawn-image cache is dropped
+    with it: the decoder is part of the toolchain, and a template's live
+    clones share one decode store, so a process deployed on one side of
+    the edge would otherwise serve its decodes to spawns on the other.
     """
     from ..parallel.buildcache import build_cache
+    from ..parallel.snapcache import image_cache
 
     build_cache().clear()
+    image_cache().clear()
     undo = mutant.install()
     try:
         yield mutant
     finally:
         undo()
         build_cache().clear()
+        image_cache().clear()
 
 
 # -- pass-layer mutants ------------------------------------------------------

@@ -74,7 +74,8 @@ class CPU:
         Loaded code image; must provide ``function(name)``,
         ``address_of(name, index)``, ``resolve(address)``,
         ``lookup(name)``, ``code_generation``, ``invalidate_code()`` and
-        the ``shared_decodes`` store (see
+        the ``shared_decodes`` store, a
+        :class:`~repro.binfmt.loader.DecodeStore` (see
         :class:`repro.binfmt.loader.LoadedImage`).
     natives:
         Symbol table of :class:`NativeFunction` objects consulted when a
@@ -466,9 +467,12 @@ class CPU:
 
         Steps take their CPU as an argument, so one decode serves every
         CPU that runs on the image: the booted parent, its fork children
-        and its threads.  The image's ``shared_decodes`` store holds the
-        step lists, keyed by ``dbi_multiplier``; the image empties it
-        whenever ``code_generation`` moves.  This CPU keeps one
+        and its threads, and every live unpatched clone of the same spawn
+        image.  The image's ``shared_decodes`` store holds the step
+        lists, keyed by ``dbi_multiplier``, and names the image they are
+        decoded against (``store.image``: this image, or its spawn
+        template); the image swaps in a fresh store of its own whenever
+        ``code_generation`` moves.  This CPU keeps one
         :class:`DecodedView` per function — the shared step list plus its
         own trace-JIT state — and drops them all when the code generation
         or its DBI multiplier changes.  A single entry is refreshed when
@@ -487,10 +491,11 @@ class CPU:
         view = views.get(name)
         if view is not None and view.function is function:
             return view
-        shared = self.image.shared_decodes.setdefault(dbi, {})
+        store = self.image.shared_decodes
+        shared = store.setdefault(dbi, {})
         decoded = shared.get(name)
         if decoded is None or decoded.function is not function:
-            decoder = FunctionDecoder(self.image, _DISPATCH, dbi)
+            decoder = FunctionDecoder(store.image, _DISPATCH, dbi)
             decoded = shared[name] = decoder.decode(function)
         view = views[name] = DecodedView(decoded)
         return view

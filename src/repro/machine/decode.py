@@ -32,8 +32,9 @@ supplies the register file (``C.registers``, ``C.gpr``) and the memory
 accessors (``C.read_word``, ``C.write_word``, ``C.read_byte``,
 ``C.write_byte``), which the CPU binds once at construction.  One
 :class:`DecodedFunction` therefore serves every CPU that runs on the same
-image — the booted parent, its fork children and its threads — until the
-image's ``code_generation`` moves (see ``CPU._decoded``).
+image — the booted parent, its fork children and its threads, and every
+live unpatched clone of the same spawn image — until the image's
+``code_generation`` moves (see ``CPU._decoded``).
 
 Canary sites (:func:`repro.telemetry.canary_sites`: group leaders and
 audited C0 stores) carry one extra wrapper that runs the shared
@@ -85,11 +86,17 @@ _GPRS = frozenset(GPRS)
 Step = Tuple[Callable[[object], None], float, int, int, Tuple[str, int]]
 
 
-def _probed(execute, site, probe):
-    """Wrap a canary-site step: run the shared probe, then the step."""
+def _probed(execute, site):
+    """Wrap a canary-site step: run the shared probe, then the step.
+
+    The probe is looked up on :mod:`repro.telemetry` at every call, never
+    captured: decoded steps outlive the deploy that made them (they are
+    shared by every live clone of a spawn image), so they must not pin
+    module state that a caller may swap in between.
+    """
 
     def probed(C) -> None:
-        probe(C, site)
+        telemetry.canary_probe(C, site)
         execute(C)
 
     return probed
@@ -204,7 +211,6 @@ class FunctionDecoder:
         dbi = self.dbi_multiplier
         name = function.name
         sites = telemetry.canary_sites(function)
-        probe = telemetry.canary_probe
         steps: List[Step] = []
         for index, instruction in enumerate(function.body):
             cycles, ticks = step_cost(instruction, dbi)
@@ -217,7 +223,7 @@ class FunctionDecoder:
             execute, kind = compiled
             site = sites.get(index)
             if site is not None:
-                execute = _probed(execute, site, probe)
+                execute = _probed(execute, site)
             steps.append((execute, cycles, ticks, kind, (name, index + 1)))
         return DecodedFunction(function, steps, sites)
 

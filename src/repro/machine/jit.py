@@ -47,6 +47,19 @@ spirit of the mini32 exemplar ("if in doubt, leaves code unchanged"):
   updates are kept so a fault anywhere in between leaves the exact
   un-fused state.
 
+Compiling is memoised by source text.  The generated source names no
+per-CPU value: the block's superblock, CPU, register file, memory
+accessors and opaque step closures all arrive as arguments of its
+``_factory``, and it is compiled under one fixed filename.  So
+``compile`` + ``exec`` is a pure function of the text, and one factory
+serves every CPU (and every run) that lowers a block to the same source;
+each CPU still gets its own :class:`Superblock` and ``run`` closure.  The
+memo is an LRU of :data:`FACTORY_MEMO_SIZE` entries: room for every
+distinct block of the SPEC-like suite under two schemes (392), while a
+stream of unique programs (the chaos campaign) keeps at most that many
+code objects alive.
+``jit_blocks_compiled_total`` still counts every block a CPU compiles.
+
 ``REPRO_JIT=0`` disables the tier entirely (the decode-cache fast path
 is unchanged); the slow loop remains the semantic oracle either way.
 """
@@ -55,7 +68,8 @@ from __future__ import annotations
 
 import os
 import re
-from typing import Dict, List, Optional, Tuple
+from collections import OrderedDict
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import telemetry
 from ..isa.instructions import Imm, Label, Mem, Reg
@@ -74,6 +88,9 @@ HOT_THRESHOLD = 16
 MIN_STEPS = 2
 #: Cap on steps per superblock (bounds compile time and fault tables).
 MAX_STEPS = 128
+#: Superblock factories kept by :func:`_factory_for` (LRU, by source).
+FACTORY_MEMO_SIZE = 512
+_FACTORIES: "OrderedDict[str, Callable]" = OrderedDict()
 
 _ATOM = re.compile(r"^(?:-?\d+|t\d+)$")
 
@@ -709,7 +726,7 @@ def compile_superblock(cpu, decoded: DecodedView, anchor: int):
     sb.terminal = terminal
     sb.end_index = k
     sb.source = _assemble(low)
-    sb.run = _bind(cpu, low, sb, function.name, anchor)
+    sb.run = _bind(cpu, low, sb)
 
     telemetry.count(
         "jit_blocks_compiled_total",
@@ -755,13 +772,25 @@ def _assemble(low: _Lowering) -> str:
     return "\n".join(out) + "\n"
 
 
-def _bind(cpu, low: _Lowering, sb: Superblock, name: str, anchor: int):
-    """Exec the factory and bind every runtime name through its closure."""
+def _factory_for(source: str):
+    """The ``_factory`` that ``source`` defines, memoised by its text."""
+    factory = _FACTORIES.get(source)
+    if factory is not None:
+        _FACTORIES.move_to_end(source)
+        return factory
     namespace: Dict[str, object] = {}
     exec(  # noqa: S102 - source is generated above from vetted templates
-        compile(sb.source, f"<jit {name}+{anchor}>", "exec"), namespace
+        compile(source, "<jit superblock>", "exec"), namespace
     )
-    return namespace["_factory"](
+    factory = _FACTORIES[source] = namespace["_factory"]
+    if len(_FACTORIES) > FACTORY_MEMO_SIZE:
+        _FACTORIES.popitem(last=False)
+    return factory
+
+
+def _bind(cpu, low: _Lowering, sb: Superblock):
+    """Bind the block's factory to this CPU and superblock."""
+    return _factory_for(sb.source)(
         sb,
         cpu,
         cpu.gpr,

@@ -56,6 +56,72 @@ class TestCannedCases:
         assert "shadow-publish-failed" in run.events
 
 
+class TestTwinReusesReferenceDecodes:
+    """Both runs of a case spawn one image, and the reference process is
+    still alive when the faulted twin deploys, so the twin decodes
+    nothing the reference run already decoded."""
+
+    #: ``ChaosRun.to_json()`` of each seed, recorded before the twin
+    #: shared its reference run's decodes.
+    EXPECTED = {
+        2020: {
+            "absorbed": 0, "case": "", "delivered": {"tls-flip": 1},
+            "description": "post-install bit flip in a TLS shadow slot",
+            "detail": "*** stack smashing detected ***: __stack_chk_fail "
+                      "terminated (fortify_fail)",
+            "events": [], "expected": ["detected", "identical"],
+            "outcome": "detected",
+            "replay": "python -m repro chaos --replay 2020",
+            "scheme": "pssp-binary", "seed": 2020, "violations": [],
+        },
+        2021: {
+            "absorbed": 1, "case": "", "delivered": {"rdrand-fail": 3},
+            "description": "transient rdrand CF=0 burst within the retry "
+                           "budget",
+            "detail": "", "events": [], "expected": ["identical"],
+            "outcome": "identical",
+            "replay": "python -m repro chaos --replay 2021",
+            "scheme": "pssp-nt-hardened", "seed": 2021, "violations": [],
+        },
+    }
+
+    @pytest.mark.parametrize("seed", sorted(EXPECTED))
+    def test_each_function_is_decoded_once(self, seed, monkeypatch):
+        import gc
+
+        from repro.core.deploy import build, deploy
+        from repro.faults.campaign import CHAOS_CYCLE_LIMIT
+        from repro.faults.schedule import generate_fault_schedule
+        from repro.kernel.kernel import Kernel
+        from repro.machine import decode as decode_module
+        from repro.workloads.generator import generate_fuzz_program
+
+        decoded = []
+        original = decode_module.FunctionDecoder.decode
+        monkeypatch.setattr(
+            decode_module.FunctionDecoder, "decode",
+            lambda self, function: decoded.append(function.name)
+            or original(self, function),
+        )
+        spec, source = generate_fuzz_program(seed)
+        scheme = generate_fault_schedule(seed, spec).scheme
+        # No clone of this program's spawn image may outlive a step.
+        gc.collect()
+        kernel = Kernel(seed)
+        process, _ = deploy(
+            kernel, build(source, scheme, name="chaos"), scheme,
+            cycle_limit=CHAOS_CYCLE_LIMIT,
+        )
+        process.run()
+        reference = sorted(decoded)
+        del kernel, process
+        gc.collect()
+        decoded.clear()
+        run = run_chaos_case(seed)
+        assert sorted(decoded) == reference
+        assert run.to_json() == self.EXPECTED[seed]
+
+
 class TestReplayDeterminism:
     @pytest.mark.parametrize("seed", [2018, 2024, 2031])
     def test_same_seed_reproduces_the_run_bit_identically(self, seed):

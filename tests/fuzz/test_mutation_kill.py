@@ -60,6 +60,37 @@ class TestMutationKill:
             f"expected {mutant.expected_signal}"
         )
 
+    def test_live_pre_mutant_processes_do_not_hide_the_decoder(
+        self, monkeypatch
+    ):
+        # Clones of one spawn image share decodes while any is alive.
+        # Hold every process the clean campaign deploys, then plant the
+        # decoder mutant: its campaign must decode afresh, not reuse the
+        # held processes' clean steps.
+        from repro.fuzz import run_fuzz
+        from repro.kernel.kernel import Kernel
+
+        held = []
+        spawn = Kernel.spawn
+
+        def holding(self, *args, **kwargs):
+            process = spawn(self, *args, **kwargs)
+            held.append(process)
+            return process
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Kernel, "spawn", holding)
+            assert run_fuzz(
+                KILL_BUDGET, base_seed=BASE_SEED, shrink=False, health=True
+            ).ok
+        assert held
+        by_name = {mutant.name: mutant for mutant in MUTANTS}
+        verdict = kill_mutant(
+            by_name["runtime-decoder-cost-drift"],
+            budget=KILL_BUDGET, base_seed=BASE_SEED,
+        )
+        assert verdict.killed, "a pre-mutant process served clean decodes"
+
     def test_baseline_stays_clean(self):
         # The flip side of killing mutants: no false positives without one.
         from repro.fuzz import run_fuzz

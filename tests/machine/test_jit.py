@@ -10,6 +10,7 @@ snapshot restore, fork).
 """
 
 import warnings
+from collections import OrderedDict
 
 import pytest
 
@@ -624,3 +625,95 @@ class TestTelemetryParity:
         delta = telemetry.delta(before)
         assert delta.get("jit_blocks_compiled_total", 0) >= 1
         assert delta.get("jit_block_entries_total", 0) >= 1
+
+
+class TestFactoryMemo:
+    """Superblock factories are memoised by source text: CPUs that lower a
+    block to the same source share one compiled factory, never a
+    superblock."""
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        """Count ``compile`` calls made by the JIT, from an empty memo."""
+        calls = []
+
+        def counting(source, *args):
+            calls.append(source)
+            return compile(source, *args)
+
+        monkeypatch.setattr(jit, "_FACTORIES", OrderedDict())
+        monkeypatch.setattr(jit, "compile", counting, raising=False)
+        return calls
+
+    def test_two_cpus_share_the_factory_not_the_superblock(
+        self, asm, compiles
+    ):
+        # ``f(n)`` stores ``n`` words ending past the heap: n = HOT stays
+        # inside, n = 3 * HOT faults mid-block once the loop is compiled.
+        def source(h_probe):
+            start = h_probe.memory.segment("heap").end - 8 * 2 * HOT
+            return (
+                f"f:\n mov rax, 0\n mov rcx, 0\n mov rbx, {start}\n"
+                ".loop:\n inc rax\n mov [rbx], rcx\n add rbx, 8\n"
+                " inc rcx\n cmp rcx, rdi\n jne .loop\n ret\n"
+            )
+
+        text = source(asm("f:\n ret\n"))
+        before = telemetry.counter_value("jit_blocks_compiled_total")
+        first, value, fault = run_config(
+            asm, text, fast=True, jit_on=True, args=(HOT,)
+        )
+        assert fault is None and value == HOT
+        assert len(compiles) == 1
+        kept = harness_state(first)
+        (block,) = compiled_blocks(first).values()
+        second, _, fault = run_config(
+            asm, text, fast=True, jit_on=True, args=(3 * HOT,)
+        )
+        assert fault is not None
+        assert len(compiles) == 1, "the second CPU reused the factory"
+        (other,) = compiled_blocks(second).values()
+        assert other is not block and other.run is not block.run
+        assert other.source == block.source
+        assert telemetry.counter_value("jit_blocks_compiled_total") == (
+            before + 2
+        ), "every block still counts"
+        assert other.fault_index > 0 and block.fault_index == 0
+        assert harness_state(first) == kept
+        slow, _, slow_fault = run_config(
+            asm, text, fast=False, jit_on=False, args=(3 * HOT,)
+        )
+        assert type(slow_fault) is type(fault)
+        assert second.cpu.registers.rip == slow.cpu.registers.rip
+        assert_state_identical(second, slow)
+
+    def test_memo_evicts_least_recently_used_at_its_bound(
+        self, monkeypatch, compiles
+    ):
+        monkeypatch.setattr(jit, "FACTORY_MEMO_SIZE", 2)
+        sources = [
+            f"def _factory(k{n}):\n    def run():\n        pass\n"
+            "    return run\n"
+            for n in range(3)
+        ]
+        first = jit._factory_for(sources[0])
+        jit._factory_for(sources[1])
+        assert jit._factory_for(sources[0]) is first
+        jit._factory_for(sources[2])
+        assert list(jit._FACTORIES) == [sources[0], sources[2]]
+        assert len(compiles) == 3
+        jit._factory_for(sources[1])
+        assert len(compiles) == 4, "the evicted source compiles again"
+        assert list(jit._FACTORIES) == [sources[2], sources[1]]
+
+
+def harness_state(h):
+    """Registers, flags and accounting of one harness CPU."""
+    cpu = h.cpu
+    return (
+        cpu.cycles, cpu.instructions_executed, cpu.tsc.value,
+        dict(cpu.registers.gpr), cpu.registers.rip,
+        tuple(getattr(cpu.registers, flag) for flag in ("zf", "sf", "cf")),
+        bytes(h.memory.read(h.memory.segment("heap").end - 8 * 2 * HOT,
+                            8 * 2 * HOT)),
+    )

@@ -8,6 +8,9 @@ every invalidation boundary a sharer must observe, then re-check the
 fast ≡ slow contract over a fork chain.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro import telemetry
@@ -16,6 +19,7 @@ from repro.isa.instructions import Imm, Instruction
 from repro.kernel.kernel import Kernel
 from repro.machine import decode as decode_module
 from repro.machine.debug import architectural_snapshot, snapshot_divergences
+from repro.parallel.snapcache import image_cache
 
 SERVER = """
 int handler(int n) {
@@ -93,13 +97,78 @@ class TestForkSharing:
         assert steps_of(grandchild) is steps_of(parent)
         assert len(decodes) == warm
 
-    def test_spawned_process_starts_cold(self):
-        # Two boots of one binary clone the spawn image: separate images,
-        # so nothing decoded in one process leaks into the other.
-        _, first = boot(seed=3)
-        _, second = boot(seed=3)
+
+class TestSpawnSharing:
+    """Clones of one spawn image share a decode store while any is alive.
+
+    Each test boots a source of its own, so no clone left over from
+    another test (the spawn-image cache outlives a test) shares its store.
+    """
+
+    def test_live_spawns_share_one_store_and_its_decodes(self, decodes):
+        source = SERVER + "int spawn_share() { return 0; }\n"
+        _, first = boot(source, seed=3)
+        warm = len(decodes)
+        _, second = boot(source, seed=4)
         assert first.image is not second.image
-        assert steps_of(first, "main") is not steps_of(second, "main")
+        assert first.image.shared_decodes is second.image.shared_decodes
+        assert steps_of(first, "main") is steps_of(second, "main")
+        assert len(decodes) == warm, "the second spawn decoded nothing"
+        assert second.call("handler", (2,)).exit_status == 9
+        assert steps_of(second) is steps_of(first)
+
+    def test_patching_one_clone_detaches_only_that_clone(self, decodes):
+        source = SERVER + "int spawn_patch() { return 0; }\n"
+        _, first = boot(source)
+        _, second = boot(source)
+        assert first.call("handler", (1,)).exit_status == 8
+        shared = first.image.shared_decodes
+        kept = steps_of(first)
+        before = len(decodes)
+        handler = first.image.function("handler")
+        first.image.add_function(handler, replace=True)
+        assert first.image.shared_decodes is not shared
+        assert first.image.shared_decodes.image is first.image
+        assert second.image.shared_decodes is shared
+        fast = [first.call("handler", (1,)), second.call("handler", (1,))]
+        assert [r.exit_status for r in fast] == [8, 8]
+        assert steps_of(second) is kept, "the sibling keeps its steps"
+        assert steps_of(first) is not kept
+        assert len(decodes) == before + 1
+        # fast ≡ slow on both clones.
+        _, slow = boot(source, fast=False)
+        oracle = slow.call("handler", (1,))
+        for result in fast:
+            assert (result.cycles, result.instructions) == (
+                oracle.cycles, oracle.instructions
+            )
+
+    def test_store_dies_with_the_last_clone(self, decodes):
+        source = SERVER + "int spawn_die() { return 0; }\n"
+        kernel, first = boot(source)
+        cold = len(decodes)
+        _, second = boot(source)
+        store = weakref.ref(first.image.shared_decodes)
+        template = first.image.shared_decodes.image
+        del kernel, first, _, second
+        gc.collect()
+        assert store() is None
+        _, third = boot(source)
+        assert third.image.shared_decodes.image is template
+        assert len(decodes) == 2 * cold, "the next spawn starts cold"
+
+    def test_spawn_template_never_keeps_decodes_alive(self):
+        source = SERVER + "int spawn_template() { return 0; }\n"
+        _, process = boot(source)
+        template = process.image.shared_decodes.image
+        cached = [entry.image for entry in image_cache()._entries.values()]
+        assert any(image is template for image in cached)
+        assert not template.shared_decodes, "the template never runs"
+        store = weakref.ref(process.image.shared_decodes)
+        del process, _
+        gc.collect()
+        assert store() is None
+        assert not template.shared_decodes
 
 
 class TestInvalidationReachesEverySharer:

@@ -158,11 +158,18 @@ def test_telemetry_flips_keep_decodes_and_switch_counts(tier):
     objects, the CPU keeps its superblocks, and
     ``jit_invalidations_total`` does not move."""
     process = _deploy(SOURCE, "pssp", tier=tier)
+    deployed = _decodes(process)
     process.run()
     decodes = _decodes(process)
     blocks = _superblocks(process)
     invalidations = telemetry.counter_value("jit_invalidations_total")
-    assert bool(decodes) == (tier != "slow")
+    # A still-uncollected clone of the same spawn image may have filled
+    # the shared store already, so the slow tier is judged on what its
+    # own run adds.
+    if tier == "slow":
+        assert decodes == deployed, "the slow run adds no decodes"
+    else:
+        assert decodes
     assert bool(blocks) == (tier == "jit")
 
     def prologues() -> int:
