@@ -152,10 +152,7 @@ def build(source: str, scheme: str = "pssp", *, name: str = "a.out") -> Binary:
     hands out private clones, so hits are unobservable except in speed.
     """
     spec = get_scheme(scheme)
-    store = build_cache()
-    if not store.enabled:
-        return _build_uncached(source, spec, name)
-    return store.get_or_build(
+    return build_cache().get_or_build(
         source, spec, name, lambda: _build_uncached(source, spec, name)
     )
 

@@ -15,7 +15,8 @@ cross-checks its own bookkeeping against them (requests vs
 ``canary_smashes_detected_total``, worker forks vs
 ``kernel_forks_total``, crashes vs ``fleet_request_crashes_total``).  A
 mismatch is an **audit divergence** — a correctness finding that the
-CLI surfaces as exit 1 and ``bench_fleet`` as exit 2, never a warning.
+CLI surfaces as exit 1 and ``benchmarks/bench_gates.py`` as exit 2,
+never a warning.
 
 Report metrics, all derived from deterministic simulated state:
 

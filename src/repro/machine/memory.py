@@ -43,7 +43,6 @@ re-materialises the lane's page.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .. import telemetry
@@ -73,15 +72,6 @@ _ZERO_PAGE = bytes(PAGE)
 #: A lane that can never match an address: ``base <= addr < limit`` is
 #: false for every addr when base > limit.
 _EMPTY_LANE = (1, 0, bytearray())
-
-#: Env knob: ``REPRO_COW_FORK=0`` restores eager deep-copy clones (the
-#: pre-page implementation's behaviour) for differential testing.
-_COW_ENV = "REPRO_COW_FORK"
-
-
-def cow_enabled() -> bool:
-    """True unless ``REPRO_COW_FORK=0`` forces eager deep-copy clones."""
-    return os.environ.get(_COW_ENV, "1") != "0"
 
 
 class Segment:
@@ -522,17 +512,14 @@ class Memory:
             segment.freeze()
         self.drop_lanes()
 
-    def clone(self, *, eager: Optional[bool] = None) -> "Memory":
+    def clone(self, *, eager: bool = False) -> "Memory":
         """Copy of the whole address space (fork semantics).
 
         COW by default: O(pages written since the last clone), with all
         untouched pages shared between parent and child.  ``eager=True``
-        (or ``REPRO_COW_FORK=0`` in the environment) restores the
-        historical deep copy — bit-identical behaviour, linear cost —
-        for differential tests.
+        restores the historical deep copy — bit-identical behaviour,
+        linear cost — for differential tests.
         """
-        if eager is None:
-            eager = not cow_enabled()
         copy = Memory()
         for segment in self._segments.values():
             copy.map_segment(
@@ -544,7 +531,7 @@ class Memory:
         return copy
 
     def page_stats(self) -> Dict[str, int]:
-        """Aggregate page accounting (diagnostics, bench_fork gate)."""
+        """Aggregate page accounting (diagnostics and the pages-per-fork test)."""
         total = private = overlays = 0
         for segment in self._sorted:
             total += len(segment._source)

@@ -22,16 +22,13 @@ caller instrumenting or mutating its binary can never poison the
 cached pristine image.  The cache is per-process, LRU-bounded, and its
 hit/miss/eviction counters feed the telemetry registry
 (``build_cache_*_total``) plus :meth:`BuildCache.stats` for the
-benchmark gate and the nightly cache-stats artifact.
-
-Environment knob: ``REPRO_BUILD_CACHE=0`` disables the cache entirely.
+hit/miss test and the nightly cache-stats artifact.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from collections import OrderedDict
 from typing import Callable, Dict, Optional
 
@@ -44,8 +41,6 @@ TOOLCHAIN_VERSION = 1
 
 #: Default LRU bound (entries, not bytes: images are small ASTs).
 DEFAULT_MAX_ENTRIES = 256
-
-_ENABLE_ENV = "REPRO_BUILD_CACHE"
 
 
 def toolchain_fingerprint(spec) -> str:
@@ -75,7 +70,6 @@ class BuildCache:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
-        self.enabled = os.environ.get(_ENABLE_ENV, "1") != "0"
         self._entries: "OrderedDict[str, object]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -137,7 +131,6 @@ class BuildCache:
         """Plain-data counters for gates and artifacts."""
         lookups = self.hits + self.misses
         return {
-            "enabled": self.enabled,
             "entries": len(self._entries),
             "max_entries": self.max_entries,
             "hits": self.hits,

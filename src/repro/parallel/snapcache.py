@@ -31,8 +31,8 @@ processes/runs cannot perturb determinism; the equivalence is gated by
 ``tests/parallel/test_snapcache.py`` (warm spawn ≡ cold spawn, bit for
 bit).
 
-Environment knobs: ``REPRO_SNAPSHOT_CACHE=0`` disables both tiers;
-``REPRO_SNAPSHOT_DIR`` enables the disk tier at that path.
+Environment knob: ``REPRO_SNAPSHOT_DIR`` enables the disk tier at that
+path.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from .buildcache import toolchain_fingerprint
 #: Default LRU bound (entries; images are page-shared, so cheap).
 DEFAULT_MAX_IMAGES = 64
 
-_ENABLE_ENV = "REPRO_SNAPSHOT_CACHE"
 _DIR_ENV = "REPRO_SNAPSHOT_DIR"
 
 #: Disk-tier file suffix (one image per key).
@@ -76,7 +75,6 @@ class SnapshotCache:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
-        self.enabled = os.environ.get(_ENABLE_ENV, "1") != "0"
         self.directory = (
             directory if directory is not None else os.environ.get(_DIR_ENV)
         )
@@ -116,10 +114,6 @@ class SnapshotCache:
         hands out private COW clones.
         """
         preloads = list(preloads)
-        if not self.enabled:
-            return prepare_spawn_image(
-                binary, preloads=preloads, stack_size=stack_size
-            )
         key = self.key_for(binary, spec, preloads, stack_size)
         cached = self._entries.get(key)
         if cached is not None:
@@ -213,7 +207,6 @@ class SnapshotCache:
         """Plain-data counters for gates and the CI cache-stats artifact."""
         lookups = self.hits + self.misses
         return {
-            "enabled": self.enabled,
             "entries": len(self._entries),
             "max_entries": self.max_entries,
             "directory": self.directory,

@@ -1,5 +1,6 @@
 """Chaos campaigns: canned cases, replay, checkpointing, the auditor."""
 
+from functools import partialmethod
 from types import SimpleNamespace
 
 import pytest
@@ -22,6 +23,7 @@ from repro.faults.chaos_mutants import (
 from repro.faults.plane import FaultPlane
 from repro.faults.policy import AUDIT_REPEAT_THRESHOLD
 from repro.faults.schedule import FaultSchedule
+from repro.machine.memory import Memory
 
 CASES = canned_invariant_cases()
 
@@ -137,9 +139,10 @@ class TestReplayDeterminism:
         # Chaos clause 6: degradation handling must be invariant to the
         # fork implementation.  The COW page layer and the historical
         # deep copy must replay a case to the same bytes.
-        monkeypatch.setenv("REPRO_COW_FORK", "1")
         cow = replay_case(seed).to_json()
-        monkeypatch.setenv("REPRO_COW_FORK", "0")
+        monkeypatch.setattr(
+            Memory, "clone", partialmethod(Memory.clone, eager=True)
+        )
         eager = replay_case(seed).to_json()
         assert cow == eager
 

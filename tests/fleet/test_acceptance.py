@@ -22,6 +22,9 @@ from repro.fleet.campaign import run_fleet
 from repro.fleet.traffic import TrafficConfig
 
 CORPUS = Path(__file__).resolve().parent / "corpus" / "fleet-mixed-10k.json"
+#: The 10^6-request record ``benchmarks/bench_gates.py`` re-serves in full
+#: mode (too long for the suite; its shape and story are checked here).
+MILLION = CORPUS.with_name("fleet-mixed-1m.json")
 
 
 @pytest.fixture(scope="module")
@@ -38,19 +41,33 @@ class TestCorpusHygiene:
         assert set(entry["expected"]) == set(entry["schemes"])
 
     def test_expected_numbers_tell_the_paper_story(self, entry):
-        expected = entry["expected"]
-        # Static canaries fall to byte-by-byte brute force...
-        assert expected["ssp"]["breaches_by_kind"]["brute"] > 0
-        # ...fork-time re-randomization stops it...
-        for scheme in ("pssp", "pssp-nt", "pssp-owf"):
-            assert expected[scheme]["breaches_by_kind"]["brute"] == 0
-        # ...leak-and-replay still works until the OWF binding.
-        assert expected["pssp"]["breaches_by_kind"]["leak"] > 0
-        assert expected["pssp-owf"]["breaches"] == 0
-        for scheme, summary in expected.items():
-            assert summary["detections"] > 0, scheme
-            assert summary["time_to_detection"] is not None, scheme
-            assert summary["audit_divergences"] == 0, scheme
+        assert_paper_story(entry["expected"])
+
+    def test_million_request_record_tells_the_same_story(self, entry):
+        million = json.loads(MILLION.read_text())
+        for key in ("base_seed", "config", "schemes", "slice_requests"):
+            assert million[key] == entry[key], key
+        assert million["total_requests"] >= 1_000_000
+        assert sum(
+            s["requests"] for s in million["expected"].values()
+        ) == million["total_requests"]
+        assert_paper_story(million["expected"])
+
+
+def assert_paper_story(expected):
+    """The paper's table, read off per-scheme campaign summaries."""
+    # Static canaries fall to byte-by-byte brute force...
+    assert expected["ssp"]["breaches_by_kind"]["brute"] > 0
+    # ...fork-time re-randomization stops it...
+    for scheme in ("pssp", "pssp-nt", "pssp-owf"):
+        assert expected[scheme]["breaches_by_kind"]["brute"] == 0
+    # ...leak-and-replay still works until the OWF binding.
+    assert expected["pssp"]["breaches_by_kind"]["leak"] > 0
+    assert expected["pssp-owf"]["breaches"] == 0
+    for scheme, summary in expected.items():
+        assert summary["detections"] > 0, scheme
+        assert summary["time_to_detection"] is not None, scheme
+        assert summary["audit_divergences"] == 0, scheme
 
 
 @pytest.mark.slow

@@ -11,6 +11,7 @@ never as silently missing requests.
 runners.
 """
 
+import importlib
 import json
 import os
 import signal
@@ -22,6 +23,33 @@ from repro.parallel import campaign as engine_module
 from repro.fleet.campaign import run_fleet
 from repro.fleet.traffic import TrafficConfig
 from repro.parallel.snapcache import reset_image_cache
+
+
+#: The chaos probe's supervision summary per scheme, at 4000 requests.
+CHAOS_PROBE_SUPERVISION = {
+    "pssp": {
+        "deadline_reaps": 0,
+        "quarantined_requests": 1773,
+        "breaker_trips": 30,
+        "parent_restarts": 8,
+        "faulted_requests": 1,
+        "clean_requests": 237,
+        "faulted_mean_cycles": 117.0,
+        "clean_mean_cycles": 116.9915611814346,
+        "rerand_window_stretch": 1.0000721318570347,
+    },
+    "pssp-nt-hardened": {
+        "deadline_reaps": 0,
+        "quarantined_requests": 0,
+        "breaker_trips": 0,
+        "parent_restarts": 0,
+        "faulted_requests": 3,
+        "clean_requests": 443,
+        "faulted_mean_cycles": 458.0,
+        "clean_mean_cycles": 456.7088036117382,
+        "rerand_window_stretch": 1.0028271764810548,
+    },
+}
 
 
 def fingerprint(report):
@@ -44,6 +72,28 @@ class TestJobsInvariance:
         assert fingerprint(pooled) == fingerprint(serial)
         assert pooled.lost_slices == 0
         assert pooled.audit_divergences == []
+
+    def test_chaos_probe_supervision_is_exact_and_jobs_invariant(self):
+        # Seeded fault schedules under live traffic: pssp's preload/tear
+        # storms trip the breaker; rdrand starvation stretches
+        # pssp-nt-hardened's re-randomization window.  Every number is
+        # simulated state, so it is pinned exactly (retry counts are host
+        # health and are not).
+        kwargs = dict(
+            schemes=("pssp", "pssp-nt-hardened"), slice_requests=1000,
+            chaos=True,
+        )
+        serial = run_fleet(4000, **kwargs)
+        pooled = run_fleet(4000, jobs=2, **kwargs)
+        assert fingerprint(pooled) == fingerprint(serial)
+        assert pooled.lost_slices == 0
+        assert pooled.audit_divergences == []
+        supervision = {}
+        for report in pooled.reports:
+            summary = report.supervision_summary()
+            summary.pop("slices_retried")
+            supervision[report.scheme] = summary
+        assert supervision == CHAOS_PROBE_SUPERVISION
 
     def test_pool_absorbs_worker_telemetry(self):
         from repro import telemetry
@@ -153,8 +203,11 @@ class TestWarmVersusCold:
         )
         reset_image_cache()
         warm = run_fleet(80, **kwargs)  # second slice hits the cache
-        monkeypatch.setenv("REPRO_SNAPSHOT_CACHE", "0")
-        reset_image_cache()
+        # Every deploy meets a cleared cache: each slice boots cold.
+        monkeypatch.setattr(
+            importlib.import_module("repro.core.deploy"),
+            "image_cache", reset_image_cache,
+        )
         try:
             cold = run_fleet(80, **kwargs)
         finally:

@@ -6,6 +6,8 @@ mid-publish, thread creation after the entropy source was quarantined,
 and reaping a process that died to a typed degradation mid-run.
 """
 
+from functools import partialmethod
+
 import pytest
 
 from repro.core.deploy import build, deploy
@@ -13,6 +15,7 @@ from repro.errors import DegradedError
 from repro.faults.plane import FaultPlane
 from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.kernel.kernel import Kernel
+from repro.machine.memory import Memory
 
 SIMPLE = """
 int main() { return 0; }
@@ -93,8 +96,11 @@ class TestForkDuringShadowRefresh:
 
     def test_torn_refresh_rollback_is_identical_cow_vs_eager(self, monkeypatch):
         outcomes = []
-        for knob in ("1", "0"):
-            monkeypatch.setenv("REPRO_COW_FORK", knob)
+        for eager in (False, True):
+            if eager:
+                monkeypatch.setattr(
+                    Memory, "clone", partialmethod(Memory.clone, eager=True)
+                )
             kernel, parent, plane = spawn(SIMPLE, "pssp")
             plane.schedule.events.append(
                 FaultEvent("tls-torn", at=plane.tls_writes, count=48)

@@ -2,14 +2,29 @@
 
 import pytest
 
+from repro import telemetry
+from repro.core.deploy import build, deploy
+from repro.kernel.kernel import Kernel
 from repro.machine.memory import (
     HEAP_BASE,
     PAGE,
     Memory,
     Segment,
-    cow_enabled,
     standard_memory,
 )
+
+#: The handler a forking server re-runs in every child.
+FORK_HANDLER = """
+int handler(int n) {
+    char buf[64];
+    int i;
+    for (i = 0; i < 64; i = i + 1) {
+        buf[i - (i / 64) * 64] = i + n;
+    }
+    return buf[0] + buf[63];
+}
+int main() { return handler(7); }
+"""
 
 
 @pytest.fixture
@@ -131,20 +146,6 @@ class TestEquivalence:
                 == segment.tobytes()
             )
 
-    def test_env_knob_forces_eager(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COW_FORK", "0")
-        assert not cow_enabled()
-        memory = standard_memory()
-        memory.write_word(HEAP_BASE, 4)
-        child = memory.clone()
-        # Deep copy: no page tuple is shared with the parent...
-        heap = memory.segment("heap")
-        assert child.segment("heap")._source is not heap._source
-        # ...and the parent keeps private pages (no freeze happened).
-        assert memory.page_stats()["private_pages"] == 1
-        monkeypatch.setenv("REPRO_COW_FORK", "1")
-        assert cow_enabled()
-
 
 class TestAccounting:
     def test_page_stats_track_write_faults(self, memory):
@@ -162,3 +163,33 @@ class TestAccounting:
         assert memory.page_stats()["private_pages"] == 0
         # Contents survive the freeze.
         assert memory.read_word(HEAP_BASE) == 1
+
+
+class TestForkScaling:
+    """A fork copies the pages the pssp fork hook writes, whatever the
+    size of the address space: fork cost is sublinear in guest memory."""
+
+    @pytest.mark.parametrize(
+        "stack_size, pages",
+        [(0x10000, 113), (0x40000, 161), (0x100000, 353), (0x400000, 1121)],
+    )
+    def test_a_fork_copies_one_page_at_any_stack_size(self, stack_size, pages):
+        telemetry.enable()
+        kernel = Kernel(9001)
+        binary = build(FORK_HANDLER, "pssp", name="forkbench")
+        parent, _ = deploy(kernel, binary, "pssp", stack_size=stack_size)
+        parent.run()
+        assert parent.memory.page_stats()["pages"] == pages
+        # The first fork freezes the parent's dirty pages; every later
+        # fork copies the same set.
+        for _ in range(3):
+            before = telemetry.snapshot()
+            child = kernel.fork(parent)
+            delta = telemetry.delta(before)
+            # Pages not shared with the parent, plus pages written since.
+            copied = (
+                pages - delta.get("memory_pages_shared_total", 0)
+                + delta.get("memory_page_faults_total", 0)
+            )
+            assert copied == 1
+            assert child.memory.page_stats()["private_pages"] == 1

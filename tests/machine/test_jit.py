@@ -9,19 +9,24 @@ and every invalidation boundary (decode-cache flush, image patching,
 snapshot restore, fork).
 """
 
+import importlib.util
+import sys
 import warnings
 from collections import OrderedDict
+from pathlib import Path
 
 import pytest
 
 from repro import telemetry
 from repro.core.deploy import build, deploy
 from repro.errors import MachineFault
+from repro.harness import metrics
 from repro.kernel.kernel import Kernel
 from repro.machine import jit
 from repro.machine.cpu import NativeFunction
 from repro.machine.debug import architectural_snapshot, snapshot_divergences
 from repro.machine.snapshot import restore_process
+from repro.workloads.spec import SPEC_PROGRAMS
 
 #: Enough arrivals at a back-edge to cross the compile threshold.
 HOT = jit.HOT_THRESHOLD * 4
@@ -58,6 +63,17 @@ def assert_state_identical(a, b) -> None:
     assert a.cpu.registers.gpr == b.cpu.registers.gpr
     for flag in ("zf", "sf", "cf"):
         assert getattr(a.cpu.registers, flag) == getattr(b.cpu.registers, flag)
+
+
+@pytest.fixture(scope="module")
+def gate_workloads():
+    """``benchmarks/bench_gates.py``'s timed workloads, by name."""
+    path = Path(__file__).resolve().parents[2] / "benchmarks" / "bench_gates.py"
+    spec = importlib.util.spec_from_file_location("bench_gates", path)
+    gates = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gates  # its dataclass looks the module up by name
+    spec.loader.exec_module(gates)
+    return {name: (scheme, template) for name, scheme, template, _, _ in gates.WORKLOADS}
 
 
 def compiled_blocks(h, name="f"):
@@ -240,6 +256,39 @@ class TestSuperblockExactness:
             snaps.append(architectural_snapshot(process))
         assert not snapshot_divergences(snaps[0], snaps[2])
         assert not snapshot_divergences(snaps[1], snaps[2])
+
+    @pytest.mark.parametrize(
+        "workload", ["alu_loop", "call_dense", "canary_heavy"]
+    )
+    def test_perf_gate_workload_identical_on_every_tier(
+        self, gate_workloads, workload
+    ):
+        # The perf gate's workloads, re-entered on a warm process as the
+        # gate does: slow ≡ fast ≡ JIT.
+        scheme, template = gate_workloads[workload]
+        source = template.replace("%ITER%", str(HOT * 2))
+        snaps = []
+        for fast, jit_on in ((False, False), (True, False), (True, True)):
+            kernel = Kernel(seed=42)
+            binary = build(source, scheme, name="bench")
+            process, _ = deploy(kernel, binary, scheme, fast=fast)
+            process.cpu.jit = jit_on
+            assert not process.run().crashed
+            assert not process.call("main").crashed
+            snaps.append(architectural_snapshot(process))
+        assert not snapshot_divergences(snaps[0], snaps[1])
+        assert not snapshot_divergences(snaps[0], snaps[2])
+
+    def test_spec_suite_slice_enters_superblocks_exactly(self, monkeypatch):
+        # The JIT is worth about a third of spec-suite's host time; pin
+        # how often a fixed slice of it runs compiled superblocks.
+        monkeypatch.delenv(jit.ENV_FLAG, raising=False)
+        telemetry.enable()
+        before = telemetry.snapshot()
+        for scheme in ("ssp", "pssp"):
+            for program in SPEC_PROGRAMS[:8]:
+                metrics.run_program(program.source, scheme, name=program.name)
+        assert telemetry.delta(before)["jit_block_entries_total"] == 79024
 
     @pytest.mark.parametrize("scheme", ["none", "ssp", "pssp", "pssp-owf"])
     def test_call_dense_workload_identical(self, scheme):

@@ -1,5 +1,7 @@
 """Spawn-image cache: content addressing, disk tier, warm ≡ cold."""
 
+import importlib
+
 import pytest
 
 from repro.core.deploy import build, deploy, get_scheme
@@ -75,12 +77,13 @@ class TestContentAddress:
         assert len(cache) == 1
         assert cache.stats()["evictions"] == 1
 
-    def test_disabled_cache_builds_fresh(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SNAPSHOT_CACHE", "0")
+    def test_cleared_cache_builds_fresh(self):
         cache = SnapshotCache()
         binary = build(SOURCE, "pssp")
         a = cache.image_for(binary, spec())
+        cache.clear()
         b = cache.image_for(binary, spec())
+        cache.clear()
         assert a is not b
         assert len(cache) == 0
 
@@ -143,9 +146,12 @@ class TestWarmColdEquivalence:
         warm = boot()  # miss: builds the image
         warm2 = boot()  # hit: boots from the cached image
         assert image_cache().stats()["hits"] >= 1
-        monkeypatch.setenv("REPRO_SNAPSHOT_CACHE", "0")
-        reset_image_cache()
-        cold = boot()  # cache disabled: full cold boot
+        # Every deploy now meets a cleared cache: a full cold boot.
+        monkeypatch.setattr(
+            importlib.import_module("repro.core.deploy"),
+            "image_cache", reset_image_cache,
+        )
+        cold = boot()
         for a, b in ((warm, warm2), (warm, cold)):
             assert snapshot_divergences(
                 architectural_snapshot(a), architectural_snapshot(b)

@@ -56,9 +56,16 @@ class TestDesignDocument:
             "LV single-variable degeneracy" in text
 
     def test_bench_targets_exist(self):
-        text = read("DESIGN.md")
-        for target in re.findall(r"benchmarks/(bench_\w+\.py)", text):
-            assert (ROOT / "benchmarks" / target).exists(), target
+        # Every benchmark script and BENCH_*.json baseline a document or
+        # CI step names must exist: deleting one leaves no stale pointer.
+        documents = [
+            "DESIGN.md", "README.md", "CONTRIBUTING.md",
+            ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md",
+        ] + [f"docs/{page.name}" for page in sorted((ROOT / "docs").glob("*.md"))]
+        for name in documents:
+            text = read(name)
+            for target in re.findall(r"\b(bench_\w+\.py|BENCH_\w+\.json)", text):
+                assert (ROOT / "benchmarks" / target).exists(), f"{name}: {target}"
 
 
 class TestRepoHygiene:

@@ -47,12 +47,13 @@ class TestJobsIdentity:
     def test_report_artifact_is_unchanged_by_tracing(
         self, serial_and_sharded
     ):
-        serial, _ = serial_and_sharded
+        serial, sharded = serial_and_sharded
         untraced = run_fleet(200, schemes=("ssp", "pssp"), slice_requests=100)
         # The trace rides on the object, never in the committed artifact.
         assert "trace" not in serial.to_json()
         assert json.dumps(serial.to_json(), sort_keys=True) == \
-            json.dumps(untraced.to_json(), sort_keys=True)
+            json.dumps(untraced.to_json(), sort_keys=True) == \
+            json.dumps(sharded.to_json(), sort_keys=True)
 
     def test_slices_arrive_in_scheme_seed_order(self, serial_and_sharded):
         _, sharded = serial_and_sharded
