@@ -20,6 +20,7 @@ import json
 from typing import Any, Dict, List
 
 from ..errors import LinkError
+from ..persist import atomic_write
 from ..isa.instructions import Function, Imm, Instruction, Label, Mem, Operand, Reg, Sym
 from .elf import Binary
 
@@ -150,8 +151,7 @@ def loads(data: bytes) -> Binary:
 
 def save(binary: Binary, path: str) -> None:
     """Write ``binary`` to ``path``."""
-    with open(path, "wb") as handle:
-        handle.write(dumps(binary))
+    atomic_write(path, dumps(binary))
 
 
 def load_file(path: str) -> Binary:

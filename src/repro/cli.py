@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Dict, List, Optional
 
@@ -55,6 +54,7 @@ from .harness import figures as _figures
 from .harness import tables as _tables
 from .harness.report import generate_report
 from .kernel.kernel import Kernel
+from .persist import atomic_write
 
 
 def _cmd_schemes(args: argparse.Namespace) -> int:
@@ -121,8 +121,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         else:
             print(result.render())
         if getattr(args, "csv", None):
-            with open(args.csv, "w") as handle:
-                handle.write(result.to_csv())
+            atomic_write(args.csv, result.to_csv())
             print(f"wrote {args.csv}")
     elif number == 6:
         print(_figures.figure6().render())
@@ -162,9 +161,7 @@ def _telemetry_capture_write(path: Optional[str], before: Dict[str, object]) -> 
         "counters": telemetry.delta(before),
         "events": telemetry.ring().to_json(),
     }
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
+    atomic_write(path, json.dumps(payload, indent=2))
     telemetry.ring().sample_every = 0
     print(f"wrote {path}")
 
@@ -406,9 +403,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     print(report.render())
     _telemetry_capture_write(args.telemetry_out, before)
     if args.out:
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json(), handle, indent=2)
+        atomic_write(args.out, json.dumps(report.to_json(), indent=2))
         print(f"wrote {args.out}")
     if report.violating_runs:
         return EXIT_VIOLATION
@@ -508,9 +503,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         text = "\n".join(lines)
 
     if args.out:
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        atomic_write(args.out, text + "\n")
         print(f"wrote {args.out}")
     else:
         print(text)
@@ -571,10 +564,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
           f"{'CRASHED' if result.crashed else 'exit ' + str(result.exit_status)}")
     print(profiler.render(limit=args.limit))
     if args.out:
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(profiler.chrome_trace(process_name=f"repro-{args.scheme}"),
-                      handle, indent=2)
+        atomic_write(args.out, json.dumps(
+            profiler.chrome_trace(process_name=f"repro-{args.scheme}"), indent=2
+        ))
         print(f"wrote {args.out} (load in chrome://tracing or Perfetto)")
     return EXIT_OK
 
@@ -617,9 +609,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"first detection: "
           f"{'request ' + str(first) if first is not None else 'never'}")
     if args.out:
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(record.to_json(), handle, indent=2)
+        atomic_write(args.out, json.dumps(record.to_json(), indent=2))
         print(f"wrote {args.out}")
     for line in record.audit_divergences:
         print(f"AUDIT DIVERGENCE: {line}", file=sys.stderr)
@@ -705,9 +695,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     print(report.render())
     _telemetry_capture_write(args.telemetry_out, before)
     if args.out:
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json(), handle, indent=2)
+        atomic_write(args.out, json.dumps(report.to_json(), indent=2))
         print(f"wrote {args.out}")
     if report.trace is not None:
         from .trace import write_bundles, write_trace
@@ -794,8 +782,7 @@ def _cmd_postmortem(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     text = generate_report(attack_trials=args.trials)
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
+        atomic_write(args.output, text)
         print(f"wrote {args.output}")
     else:
         print(text)

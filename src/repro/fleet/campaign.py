@@ -907,10 +907,11 @@ def run_fleet(
     (default: ``base_seed``); the stream is keyed per slice, so chaos
     campaigns replay and shard bit-identically too.
 
-    ``checkpoint_path`` persists every completed slice (atomically, after
-    each slice or shard); ``resume=True`` skips the slices a previous —
-    possibly killed — run already completed, under any ``jobs`` value,
-    and the finished report is byte-identical to an uninterrupted run.
+    ``checkpoint_path`` persists every completed slice (with
+    :func:`repro.persist.atomic_write`, after each slice or shard);
+    ``resume=True`` skips the slices a previous — possibly killed — run
+    already completed, under any ``jobs`` value, and the finished report
+    is byte-identical to an uninterrupted run.
     The checkpoint must come from the same campaign (seeds, budgets,
     traffic, schemes, chaos seed, supervision, audit, trace config), or
     :class:`~repro.errors.CampaignError` is raised.

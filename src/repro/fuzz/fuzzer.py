@@ -10,10 +10,12 @@ shipping the failing binary around.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .. import telemetry
+from ..persist import atomic_write
 from ..workloads.generator import ProgramSpec, generate_fuzz_program, render_program
 from .conformance import (
     DEFAULT_FUZZ_SCHEMES,
@@ -411,13 +413,9 @@ def replay_seed(
 
 def write_failure_artifacts(report: FuzzReport, directory: str) -> List[str]:
     """Write one JSON artifact per failing program; return the paths."""
-    import os
-
-    os.makedirs(directory, exist_ok=True)
     paths = []
     for failure in report.failures:
         path = os.path.join(directory, f"fuzz-failure-seed{failure.seed}.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(failure.to_json(), handle, indent=2)
+        atomic_write(path, json.dumps(failure.to_json(), indent=2))
         paths.append(path)
     return paths

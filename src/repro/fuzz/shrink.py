@@ -147,18 +147,6 @@ def shrink_spec(
     return current
 
 
-def spec_size(spec: ProgramSpec) -> int:
-    """A rough complexity metric (used in reports/tests to show progress)."""
-    size = len(spec.functions) + len(spec.main_calls)
-    size += sum(
-        len(f.ops) + len(f.calls) + (1 if f.libc_op else 0)
-        for f in spec.functions
-    )
-    size += spec.recursion_depth
-    size += 2 * int(spec.use_fork) + 2 * int(spec.use_setjmp)
-    return size
-
-
 def removed_features(before: ProgramSpec, after: ProgramSpec) -> List[str]:
     """Human-readable list of what shrinking discarded."""
     notes = []

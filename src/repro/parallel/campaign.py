@@ -27,9 +27,9 @@ Checkpoints have one format, owned by :class:`Checkpoint`::
     {"version": 2, "kind": "<campaign kind>", "identity": {...},
      "units": {"<unit key>": <record>, ...}}
 
-The file is rewritten atomically (a sibling tmp file, then
-``os.replace``) after every unit (``jobs=1``) or shard (``jobs>1``), so
-a kill at any instant leaves the previous or the next complete file.
+The file is rewritten with :func:`repro.persist.atomic_write` after
+every unit (``jobs=1``) or shard (``jobs>1``), so a kill at any instant
+leaves the previous or the next complete file.
 On resume the version, kind and identity must equal the running
 campaign's, or :class:`~repro.errors.CampaignError` is raised.  A
 checkpointed unit is done and never re-run; a lost shard's units are
@@ -46,6 +46,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import telemetry
 from ..errors import CampaignError
+from ..persist import atomic_write
 from .executor import STATUS_FAILED
 from .sharding import plan_shards
 
@@ -128,10 +129,7 @@ class Checkpoint:
 
     def save(self) -> None:
         """Atomic write: a kill can only ever leave the previous file."""
-        tmp = f"{self.path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump({**self.header, "units": self.units}, handle)
-        os.replace(tmp, self.path)
+        atomic_write(self.path, json.dumps({**self.header, "units": self.units}))
 
 
 def _header_fields(header: Dict[str, Any]) -> Dict[str, Any]:

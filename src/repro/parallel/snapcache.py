@@ -23,8 +23,10 @@ Two tiers:
   dict lookup; ``instantiate()`` already hands out private clones);
 * an optional on-disk tier (``REPRO_SNAPSHOT_DIR``) of
   ``<key>.simg`` files in the deterministic container format, written
-  atomically — this is what CI's warm-image cache persists between
-  workflow runs.
+  with :func:`repro.persist.atomic_write` — this is what CI's warm-image
+  cache persists between workflow runs.  A loaded file is served only
+  if its own binary, preloads and stack size re-derive its key under
+  the caller's scheme; anything else is a miss and is rebuilt.
 
 Spawn images are seed-free by construction, so sharing one across
 processes/runs cannot perturb determinism; the equivalence is gated by
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
 from collections import OrderedDict
 from typing import Dict, Optional
 
@@ -53,6 +54,7 @@ from ..machine.snapshot import (
     load_spawn_image,
     prepare_spawn_image,
 )
+from ..persist import atomic_write
 from .buildcache import toolchain_fingerprint
 
 #: Default LRU bound (entries; images are page-shared, so cheap).
@@ -123,7 +125,7 @@ class SnapshotCache:
                 "snapshot_cache_hits_total", help="spawn-image cache hits"
             )
             return cached
-        image = self._load_from_disk(key)
+        image = self._load_from_disk(key, spec)
         if image is None:
             self.misses += 1
             telemetry.count(
@@ -150,7 +152,7 @@ class SnapshotCache:
             return None
         return os.path.join(self.directory, key + IMAGE_SUFFIX)
 
-    def _load_from_disk(self, key: str) -> Optional[SpawnImage]:
+    def _load_from_disk(self, key: str, spec) -> Optional[SpawnImage]:
         path = self._path_for(key)
         if path is None or not os.path.exists(path):
             return None
@@ -161,6 +163,9 @@ class SnapshotCache:
             # A truncated or version-skewed file is a miss, not an error:
             # the rebuilt image overwrites it.
             return None
+        if self.key_for(image.binary, spec, image.preloads,
+                        image.stack_size) != key:
+            return None  # another deployment's image: also a miss
         self.disk_hits += 1
         telemetry.count(
             "snapshot_cache_disk_hits_total",
@@ -173,17 +178,7 @@ class SnapshotCache:
         if path is None:
             return
         try:
-            os.makedirs(self.directory, exist_ok=True)
-            handle = tempfile.NamedTemporaryFile(
-                dir=self.directory, suffix=".tmp", delete=False
-            )
-            try:
-                with handle:
-                    handle.write(dump_spawn_image(image))
-                os.replace(handle.name, path)
-            except BaseException:
-                os.unlink(handle.name)
-                raise
+            atomic_write(path, dump_spawn_image(image))
         except OSError:
             # Disk tier is best-effort (read-only FS, quota): the
             # in-memory entry still serves this process.

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..errors import BundleError
+from ..persist import atomic_write
 
 BUNDLE_KIND = "repro-postmortem"
 BUNDLE_VERSION = 1
@@ -105,14 +106,9 @@ def build_lost_bundle(
 
 def write_bundle(payload: Dict[str, Any], directory: str) -> str:
     """Write one content-addressed ``.pmb`` file; returns its path."""
-    os.makedirs(directory, exist_ok=True)
     name = f"{bundle_digest(payload)[:16]}{BUNDLE_SUFFIX}"
     path = os.path.join(directory, name)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
 

@@ -18,12 +18,11 @@ export is byte-identical for serial and ``--jobs N`` campaigns.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
+from ..persist import atomic_write
 from ..telemetry.profile import chrome_trace_container, cycles_to_us
-from .series import merge_series
 from .spans import SliceTrace
 from .tracer import TraceConfig
 
@@ -62,12 +61,6 @@ class CampaignTrace:
             found.extend(trace.bundles)
         found.extend(self.lost_bundles)
         return found
-
-    def merged_series(self, scheme: str) -> List[Dict[str, Any]]:
-        """One scheme's campaign curve (bucket-wise snapshot merge)."""
-        return merge_series([
-            trace.series for trace in self.slices if trace.scheme == scheme
-        ])
 
     def schemes(self) -> List[str]:
         seen: List[str] = []
@@ -152,10 +145,7 @@ class CampaignTrace:
 
 def write_trace(trace: CampaignTrace, path: str) -> None:
     """Write the Perfetto export (the ``--trace-out`` artifact)."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(trace.perfetto(), handle, indent=2)
-        handle.write("\n")
+    atomic_write(path, json.dumps(trace.perfetto(), indent=2) + "\n")
 
 
 def write_bundles(trace: CampaignTrace, directory: str) -> List[str]:

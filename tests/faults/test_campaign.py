@@ -24,6 +24,7 @@ from repro.faults.plane import FaultPlane
 from repro.faults.policy import AUDIT_REPEAT_THRESHOLD
 from repro.faults.schedule import FaultSchedule
 from repro.machine.memory import Memory
+from tests.test_persist import CutWrite, Killed
 
 CASES = canned_invariant_cases()
 
@@ -166,34 +167,20 @@ class TestCampaign:
         assert sorted(seeds) == list(range(2018, 2024))
         assert len(set(seeds)) == 6  # resume re-ran nothing
 
-    def test_checkpoint_survives_a_kill_mid_dump(self, tmp_path, monkeypatch):
+    def test_checkpoint_survives_a_kill_mid_dump(self, tmp_path):
         import json as real_json
-
-        from repro.parallel import campaign as engine
 
         checkpoint = str(tmp_path / "chaos.json")
         run_campaign(3, base_seed=2018, checkpoint_path=checkpoint)
         with open(checkpoint, "rb") as handle:
             previous = handle.read()
 
-        class Killed(Exception):
-            pass
-
-        def dump_then_die(obj, handle, **kwargs):
-            text = real_json.dumps(obj, **kwargs)
-            handle.write(text[: len(text) // 2])
-            raise Killed("killed during json.dump")
-
-        monkeypatch.setattr(
-            engine, "json",
-            SimpleNamespace(
-                dump=dump_then_die, load=real_json.load,
-                dumps=real_json.dumps, loads=real_json.loads,
-            ),
-        )
-        with pytest.raises(Killed):
-            run_campaign(6, base_seed=2018, checkpoint_path=checkpoint, resume=True)
-        monkeypatch.undo()
+        # The next checkpoint holds more units, so it dies partway in.
+        with CutWrite(writes=0, offset=len(previous)).installed():
+            with pytest.raises(Killed):
+                run_campaign(
+                    6, base_seed=2018, checkpoint_path=checkpoint, resume=True
+                )
 
         with open(checkpoint, "rb") as handle:
             assert handle.read() == previous

@@ -4,8 +4,10 @@ Chaos and fleet campaigns both persist progress with
 :class:`repro.parallel.Checkpoint`.  For each of them:
 
 * a kill at any byte of any checkpoint write leaves the previous file
-  intact, and resuming from it gives the uninterrupted report, byte for
-  byte;
+  intact and no temp file, and resuming from it gives the uninterrupted
+  report, byte for byte (the kill is cut into
+  :func:`repro.persist.atomic_write`, by ``tests/test_persist.py``'s
+  :class:`CutWrite`);
 * a checkpoint written by a different campaign is refused with a typed
   :class:`~repro.errors.CampaignError`, and left untouched;
 * a resumed run equals an uninterrupted one under ``jobs`` 1 and 2, in
@@ -23,8 +25,8 @@ from hypothesis import strategies as st
 from repro.errors import CampaignError
 from repro.faults.campaign import CHAOS_CYCLE_LIMIT, run_campaign
 from repro.fleet.campaign import run_fleet
-from repro.parallel import campaign as engine
 from repro.trace import TraceConfig
+from tests.test_persist import CutWrite, Killed
 
 #: Each kind: its driver and a small campaign (at least four units).
 CAMPAIGNS = {
@@ -55,45 +57,10 @@ def straight(kind):
     return _STRAIGHT[kind]
 
 
-class Killed(Exception):
-    pass
-
-
-class CutJson:
-    """Stands in for the engine's ``json`` module.
-
-    Lets ``writes`` checkpoint dumps through whole, then writes the next
-    one only up to ``offset`` (modulo its length) and dies there — the
-    process killed at that byte.
-    """
-
-    def __init__(self, writes, offset):
-        self.writes = writes
-        self.offset = offset
-        self.last = None  #: text of the last complete dump
-
-    def __getattr__(self, name):
-        return getattr(json, name)
-
-    def dump(self, obj, handle, **kwargs):
-        text = json.dumps(obj, **kwargs)
-        if self.writes == 0:
-            handle.write(text[: self.offset % (len(text) + 1)])
-            raise Killed(f"killed mid-dump at byte {self.offset}")
-        self.writes -= 1
-        handle.write(text)
-        self.last = text
-
-
 def interrupted(kind, path, cut, **overrides):
     """Run ``kind`` checkpointing to ``path`` until ``cut`` kills it."""
-    original = engine.json
-    engine.json = cut
-    try:
-        with pytest.raises(Killed):
-            run(kind, checkpoint_path=path, **overrides)
-    finally:
-        engine.json = original
+    with cut.installed(), pytest.raises(Killed):
+        run(kind, checkpoint_path=path, **overrides)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -102,10 +69,11 @@ def interrupted(kind, path, cut, **overrides):
 def test_kill_at_any_byte_of_a_checkpoint_write(kind, writes, offset):
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "ckpt.json")
-        cut = CutJson(writes, offset)
+        cut = CutWrite(writes, offset)
         interrupted(kind, path, cut)
-        with open(path, encoding="utf-8") as handle:
+        with open(path, "rb") as handle:
             assert handle.read() == cut.last  # the previous file, intact
+        assert os.listdir(directory) == ["ckpt.json"]  # and no temp file
         resumed = run(kind, checkpoint_path=path, resume=True)
         assert report_bytes(resumed) == straight(kind)
 
@@ -150,7 +118,7 @@ def test_resumed_equals_uninterrupted_under_jobs(
     tmp_path, kind, first_jobs, resume_jobs
 ):
     path = str(tmp_path / "ckpt.json")
-    interrupted(kind, path, CutJson(writes=2, offset=0), jobs=first_jobs)
+    interrupted(kind, path, CutWrite(writes=2, offset=0), jobs=first_jobs)
     assert len(json.loads((tmp_path / "ckpt.json").read_text())["units"]) >= 2
     resumed = run(kind, checkpoint_path=path, resume=True, jobs=resume_jobs)
     assert report_bytes(resumed) == straight(kind)

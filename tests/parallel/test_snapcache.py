@@ -226,6 +226,42 @@ class TestDiskTierNegativePaths:
             load_spawn_image(stale)
         self._assert_clean_miss(tmp_path, binary)
 
+    def test_another_deployments_image_under_this_key_is_a_miss(
+        self, tmp_path, monkeypatch
+    ):
+        from repro import telemetry
+
+        deploy_module = importlib.import_module("repro.core.deploy")
+        binary, entry = self._seeded_entry(tmp_path)
+        other = SnapshotCache(directory=str(tmp_path / "other"))
+        other.image_for(build(OTHER, "pssp"), spec())
+        (other_entry,) = list((tmp_path / "other").iterdir())
+        entry.write_bytes(other_entry.read_bytes())
+
+        def boot():
+            process, _ = deploy(Kernel(21), binary, "pssp")
+            process.run()
+            return process
+
+        monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(tmp_path))
+        cache = reset_image_cache()
+        before = telemetry.snapshot()
+        warm = boot()
+        stats = cache.stats()
+        assert stats["disk_hits"] == 0
+        assert stats["misses"] == 1
+        assert telemetry.delta(before).get("snapshot_cache_misses_total") == 1
+        monkeypatch.delenv("REPRO_SNAPSHOT_DIR")
+        monkeypatch.setattr(deploy_module, "image_cache", reset_image_cache)
+        cold = boot()
+        assert snapshot_divergences(
+            architectural_snapshot(warm), architectural_snapshot(cold)
+        ) == []
+        # The rebuilt image replaced the foreign file: the next reader hits.
+        reader = SnapshotCache(directory=str(tmp_path))
+        reader.image_for(binary, spec())
+        assert reader.stats()["disk_hits"] == 1
+
     def test_corrupt_image_error_is_typed(self, tmp_path):
         from repro.errors import SnapshotError
         from repro.machine.snapshot import load_spawn_image
