@@ -1,4 +1,4 @@
-"""Cache of warmed spawn images, content-addressed by deployment inputs.
+"""Cache of warmed spawn images, one per exact deployment.
 
 Campaigns spawn the same protected binary thousands of times: every
 attack trial, chaos case, and conformance seed boots a fresh process
@@ -8,25 +8,34 @@ spawn images are captured *before any entropy draw*, so one frozen
 image serves every seed and the COW clone it hands out costs O(pages
 touched) instead of O(address-space size).
 
-:class:`SnapshotCache` keys a frozen
-:class:`~repro.machine.snapshot.SpawnImage` by
-``sha256(binary-image ‖ scheme-toolchain-fingerprint ‖ preload-images
-‖ stack_size ‖ SNAPSHOT_VERSION)``.  The binary and preloads enter the
-key as their full serialized images (not names), so a recompiled
-binary can never alias a stale layout; the toolchain fingerprint and
-:data:`~repro.machine.snapshot.SNAPSHOT_VERSION` cover everything else
-that shapes the bytes.
+A deployment is ``(binary, scheme toolchain fingerprint, preloads,
+stack_size)``.  :class:`SnapshotCache` has two tiers, matched two ways:
 
-Two tiers:
-
-* an in-process LRU of live :class:`SpawnImage` objects (hits are a
-  dict lookup; ``instantiate()`` already hands out private clones);
-* an optional on-disk tier (``REPRO_SNAPSHOT_DIR``) of
+* **In memory: exact equality on private clones.**  An LRU of live
+  :class:`SpawnImage` objects, filed under a :class:`DeploymentKey`.
+  The key hashes only cheap shape (names, body lengths, fingerprint,
+  stack size); two keys are equal only if their binaries and preloads
+  are equal field by field *and* declare their functions, rodata and
+  bss in the same order, which is the order the loader lays them out
+  in.  A miss clones the caller's binary and preloads, prepares the
+  image from the clones and files it under them, so a caller that later
+  mutates its own objects can change neither a cached key nor
+  ``image.binary``.  Build-cache clones share their immutable
+  ``Instruction`` objects, so a hit compares them by identity: a few
+  microseconds, with nothing serialized.
+* **On disk: the sha256 content key** (``REPRO_SNAPSHOT_DIR``).
+  :meth:`SnapshotCache.key_for` hashes the serialized binary and
+  preloads, their layout order, the toolchain fingerprint, the stack
+  size and :data:`~repro.machine.snapshot.SNAPSHOT_VERSION`; it runs
+  only when memory missed and a directory is set.  Images are
   ``<key>.simg`` files in the deterministic container format, written
-  with :func:`repro.persist.atomic_write` — this is what CI's warm-image
-  cache persists between workflow runs.  A loaded file is served only
-  if its own binary, preloads and stack size re-derive its key under
-  the caller's scheme; anything else is a miss and is rebuilt.
+  with :func:`repro.persist.atomic_write` — this is what CI's
+  warm-image cache persists between workflow runs.  A loaded file is
+  served only if its own binary, preloads and stack size re-derive its
+  key under the caller's scheme; anything else is a miss and is
+  rebuilt.  ``serialize`` round-trips rodata and bss in sorted order,
+  so a binary that declares them unsorted never passes that check: its
+  disk image is rebuilt every time, a miss, never a wrong image.
 
 Spawn images are seed-free by construction, so sharing one across
 processes/runs cannot perturb determinism; the equivalence is gated by
@@ -40,9 +49,10 @@ path.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from .. import telemetry
 from ..binfmt import serialize
@@ -66,6 +76,64 @@ _DIR_ENV = "REPRO_SNAPSHOT_DIR"
 IMAGE_SUFFIX = ".simg"
 
 
+def _layout_order(binary) -> Tuple[list, list, list]:
+    """The declaration orders the loader lays ``binary`` out in."""
+    return list(binary.functions), list(binary.rodata), list(binary.bss)
+
+
+class DeploymentKey:
+    """In-memory entry key: one deployment, matched by exact equality.
+
+    The hash covers only cheap shape; equality demands equal binaries
+    and preloads (the ``Binary``/``Function`` dataclass ``==``) declared
+    in the same layout order, so a dict lookup serves an image only for
+    an exactly equal deployment.
+    """
+
+    __slots__ = ("binary", "fingerprint", "preloads", "stack_size", "_hash")
+
+    def __init__(self, binary, fingerprint: str, preloads, stack_size: int):
+        self.binary = binary
+        self.fingerprint = fingerprint
+        self.preloads = tuple(preloads)
+        self.stack_size = stack_size
+        self._hash = hash((
+            binary.name,
+            fingerprint,
+            stack_size,
+            tuple((name, len(function.body))
+                  for name, function in binary.functions.items()),
+            tuple(preload.name for preload in self.preloads),
+        ))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DeploymentKey):
+            return NotImplemented
+        if (self._hash != other._hash
+                or self.fingerprint != other.fingerprint
+                or self.stack_size != other.stack_size
+                or len(self.preloads) != len(other.preloads)):
+            return False
+        return all(
+            mine == theirs and _layout_order(mine) == _layout_order(theirs)
+            for mine, theirs in zip(
+                (self.binary, *self.preloads), (other.binary, *other.preloads)
+            )
+        )
+
+    def private(self) -> "DeploymentKey":
+        """The same deployment on private clones of binary and preloads."""
+        return DeploymentKey(
+            self.binary.clone(),
+            self.fingerprint,
+            [preload.clone() for preload in self.preloads],
+            self.stack_size,
+        )
+
+
 class SnapshotCache:
     """Two-tier (memory + optional disk) cache of warmed spawn images."""
 
@@ -80,7 +148,7 @@ class SnapshotCache:
         self.directory = (
             directory if directory is not None else os.environ.get(_DIR_ENV)
         )
-        self._entries: "OrderedDict[str, SpawnImage]" = OrderedDict()
+        self._entries: "OrderedDict[DeploymentKey, SpawnImage]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -91,16 +159,16 @@ class SnapshotCache:
 
     @staticmethod
     def key_for(binary, spec, preloads, stack_size: int) -> str:
-        """The content address of one (binary, scheme, preloads) boot."""
+        """The disk tier's content address of one (binary, scheme,
+        preloads) boot: serialized images plus their layout order."""
         digest = hashlib.sha256()
         digest.update(b"snapshot-v%d" % SNAPSHOT_VERSION)
-        digest.update(b"\x00")
-        digest.update(serialize.dumps(binary))
-        digest.update(b"\x00")
-        digest.update(toolchain_fingerprint(spec).encode("ascii"))
-        for preload in preloads:
-            digest.update(b"\x00")
-            digest.update(serialize.dumps(preload))
+        digest.update(b"\x00" + toolchain_fingerprint(spec).encode("ascii"))
+        for part in (binary, *preloads):
+            digest.update(b"\x00" + serialize.dumps(part))
+            digest.update(
+                b"\x00" + json.dumps(_layout_order(part)).encode("utf-8")
+            )
         digest.update(b"\x00%d" % stack_size)
         return digest.hexdigest()
 
@@ -115,8 +183,9 @@ class SnapshotCache:
         :meth:`~repro.machine.snapshot.SpawnImage.instantiate`, which
         hands out private COW clones.
         """
-        preloads = list(preloads)
-        key = self.key_for(binary, spec, preloads, stack_size)
+        key = DeploymentKey(
+            binary, toolchain_fingerprint(spec), preloads, stack_size
+        )
         cached = self._entries.get(key)
         if cached is not None:
             self._entries.move_to_end(key)
@@ -125,16 +194,26 @@ class SnapshotCache:
                 "snapshot_cache_hits_total", help="spawn-image cache hits"
             )
             return cached
-        image = self._load_from_disk(key, spec)
+        # Key and image hold private clones: the caller may mutate its
+        # binary or preloads after this returns.
+        key = key.private()
+        image = None
+        content_key = None
+        if self.directory:
+            content_key = self.key_for(
+                key.binary, spec, key.preloads, stack_size
+            )
+            image = self._load_from_disk(content_key, spec)
         if image is None:
             self.misses += 1
             telemetry.count(
                 "snapshot_cache_misses_total", help="spawn-image cache misses"
             )
             image = prepare_spawn_image(
-                binary, preloads=preloads, stack_size=stack_size
+                key.binary, preloads=key.preloads, stack_size=stack_size
             )
-            self._store_to_disk(key, image)
+            if content_key is not None:
+                self._store_to_disk(content_key, image)
         self._entries[key] = image
         if len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
@@ -147,14 +226,12 @@ class SnapshotCache:
 
     # -- disk tier -------------------------------------------------------
 
-    def _path_for(self, key: str) -> Optional[str]:
-        if not self.directory:
-            return None
+    def _path_for(self, key: str) -> str:
         return os.path.join(self.directory, key + IMAGE_SUFFIX)
 
     def _load_from_disk(self, key: str, spec) -> Optional[SpawnImage]:
         path = self._path_for(key)
-        if path is None or not os.path.exists(path):
+        if not os.path.exists(path):
             return None
         try:
             with open(path, "rb") as handle:
@@ -174,11 +251,8 @@ class SnapshotCache:
         return image
 
     def _store_to_disk(self, key: str, image: SpawnImage) -> None:
-        path = self._path_for(key)
-        if path is None:
-            return
         try:
-            atomic_write(path, dump_spawn_image(image))
+            atomic_write(self._path_for(key), dump_spawn_image(image))
         except OSError:
             # Disk tier is best-effort (read-only FS, quota): the
             # in-memory entry still serves this process.

@@ -113,7 +113,8 @@ def write_bundle(payload: Dict[str, Any], directory: str) -> str:
 
 
 def load_bundle(path: str) -> Dict[str, Any]:
-    """Read and validate one ``.pmb`` file."""
+    """Read and validate one ``.pmb`` file: its kind, its version, and
+    that its content digest is the name :func:`write_bundle` gave it."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -125,6 +126,15 @@ def load_bundle(path: str) -> Dict[str, Any]:
         raise BundleError(
             f"{path}: bundle version {payload.get('version')!r}, "
             f"this build reads {BUNDLE_VERSION}"
+        )
+    named = os.path.basename(path)
+    if named.endswith(BUNDLE_SUFFIX):
+        named = named[: -len(BUNDLE_SUFFIX)]
+    digest = bundle_digest(payload)[:16]
+    if named != digest:
+        raise BundleError(
+            f"{path}: content digest {digest} does not match the "
+            f"digest {named!r} it is named by"
         )
     return payload
 

@@ -1,10 +1,12 @@
-"""Spawn-image cache: content addressing, disk tier, warm ≡ cold."""
+"""Spawn-image cache: exact matching, disk tier, warm ≡ cold."""
 
 import importlib
 
 import pytest
 
+from repro.binfmt import serialize
 from repro.core.deploy import build, deploy, get_scheme
+from repro.faults.campaign import run_campaign
 from repro.kernel.kernel import Kernel
 from repro.machine.debug import architectural_snapshot, snapshot_divergences
 from repro.parallel.snapcache import (
@@ -37,6 +39,40 @@ def fresh_cache():
 
 def spec():
     return get_scheme("pssp")
+
+
+def boot(binary, scheme="pssp"):
+    """Deploy through the process-wide cache; the run's full snapshot."""
+    process, _ = deploy(Kernel(77), binary, scheme)
+    process.run()
+    return architectural_snapshot(process)
+
+
+def cold_boot(binary, scheme="pssp"):
+    """The same boot with every deploy meeting an empty, diskless cache."""
+    deploy_module = importlib.import_module("repro.core.deploy")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv("REPRO_SNAPSHOT_DIR", raising=False)
+        patch.setattr(deploy_module, "image_cache", SnapshotCache)
+        return boot(binary, scheme)
+
+
+def assert_warm_is_cold(binary, scheme="pssp"):
+    assert snapshot_divergences(boot(binary, scheme),
+                                cold_boot(binary, scheme)) == []
+
+
+def with_rodata(binary, rodata):
+    """A hand-built variant of ``binary`` declaring exactly ``rodata``."""
+    variant = binary.clone()
+    variant.rodata = dict(rodata)
+    return variant
+
+
+#: Two blobs declared out of sorted order; the loader places them in
+#: declaration order, so the reversed declaration is another layout.
+UNSORTED = {"zz_blob": b"Z" * 24, "aa_blob": b"A" * 8}
+SORTED = dict(sorted(UNSORTED.items()))
 
 
 class TestContentAddress:
@@ -86,6 +122,106 @@ class TestContentAddress:
         cache.clear()
         assert a is not b
         assert len(cache) == 0
+
+
+class TestExactMatching:
+    """The memory tier serves an image only to an exactly equal deployment."""
+
+    def test_rodata_order_is_part_of_the_key_in_memory(self):
+        binary = build(SOURCE, "pssp")
+        unsorted = with_rodata(binary, UNSORTED)
+        ordered = with_rodata(binary, SORTED)
+        cache = image_cache()
+        for variant in (unsorted, ordered):
+            assert_warm_is_cold(variant)
+        assert (cache.stats()["hits"], cache.stats()["misses"]) == (0, 2)
+
+    def test_rodata_order_is_part_of_the_key_on_disk(
+        self, tmp_path, monkeypatch
+    ):
+        binary = build(SOURCE, "pssp")
+        unsorted = with_rodata(binary, UNSORTED)
+        ordered = with_rodata(binary, SORTED)
+        assert SnapshotCache.key_for(unsorted, spec(), (), 0x40000) != \
+            SnapshotCache.key_for(ordered, spec(), (), 0x40000)
+        monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(tmp_path))
+        cache = reset_image_cache()
+        for variant in (unsorted, ordered):
+            assert_warm_is_cold(variant)
+        stats = cache.stats()
+        assert (stats["misses"], stats["disk_stores"]) == (2, 2)
+        assert directory_stats(str(tmp_path))["images"] == 2
+        # A fresh process: serialize round-trips rodata sorted, so the
+        # unsorted binary's image fails its load check and is rebuilt;
+        # the sorted one is served from disk.  Both still boot warm ≡ cold.
+        cache = reset_image_cache()
+        for variant in (unsorted, ordered):
+            assert_warm_is_cold(variant)
+        stats = cache.stats()
+        assert (stats["disk_hits"], stats["misses"]) == (1, 1)
+
+    @pytest.mark.parametrize("mutation", ["add_function", "swap_rodata"])
+    def test_mutating_the_callers_binary_after_deploy_is_a_miss(
+        self, mutation
+    ):
+        binary = with_rodata(build(SOURCE, "pssp"), UNSORTED)
+        pristine = binary.clone()
+        cache = image_cache()
+        first = cache.image_for(binary, spec())
+        if mutation == "add_function":
+            # What the stack_chk rewriter does to the binary it is given.
+            extra = binary.function("work").copy()
+            extra.name = "work_twin"
+            binary.add_function(extra)
+        else:
+            binary.rodata = dict(reversed(list(binary.rodata.items())))
+        assert_warm_is_cold(binary)
+        assert (cache.stats()["hits"], cache.stats()["misses"]) == (0, 2)
+        assert first.binary == pristine
+        assert list(first.binary.functions) == list(pristine.functions)
+        assert list(first.binary.rodata) == list(pristine.rodata)
+
+    def test_equal_binary_sharing_nothing_still_hits(self):
+        binary = build(SOURCE, "pssp")
+        cache = SnapshotCache()
+        first = cache.image_for(binary, spec())
+        assert cache.image_for(serialize.loads(serialize.dumps(binary)),
+                               spec()) is first
+        assert (cache.stats()["hits"], cache.stats()["misses"]) == (1, 1)
+
+
+class TestExactCounts:
+    """Chaos cases boot each program twice: one miss, then one hit."""
+
+    def test_memory_tier_never_serializes(self, monkeypatch):
+        calls = []
+        dumps = serialize.dumps
+        monkeypatch.setattr(
+            serialize, "dumps", lambda binary: calls.append(1) or dumps(binary)
+        )
+        cache = image_cache()
+        run_campaign(4, jobs=1, progress=None)
+        assert calls == []
+        assert (cache.stats()["hits"], cache.stats()["misses"]) == (4, 4)
+
+    def test_disk_tier_keys_once_per_memory_miss(self, tmp_path, monkeypatch):
+        calls = []
+        key_for = SnapshotCache.key_for
+
+        def counting_key_for(*args):
+            calls.append(1)
+            return key_for(*args)
+
+        monkeypatch.setattr(
+            SnapshotCache, "key_for", staticmethod(counting_key_for)
+        )
+        monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(tmp_path))
+        cache = reset_image_cache()
+        run_campaign(4, jobs=1, progress=None)
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"]) == (4, 4)
+        assert stats["disk_stores"] == 4
+        assert len(calls) == stats["misses"]
 
 
 class TestDiskTier:

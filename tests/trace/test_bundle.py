@@ -78,6 +78,16 @@ class TestLoadErrors:
         with pytest.raises(BundleError, match="version"):
             load_bundle(str(path))
 
+    def test_edited_payload_under_its_old_name(self, tmp_path, breach_bundle):
+        path = write_bundle(breach_bundle, str(tmp_path))
+        edited = {**breach_bundle, "detail": "edited"}
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(edited, handle)
+        old, new = bundle_digest(breach_bundle)[:16], bundle_digest(edited)[:16]
+        with pytest.raises(BundleError, match="does not match") as caught:
+            load_bundle(path)
+        assert old in str(caught.value) and new in str(caught.value)
+
 
 class TestReplay:
     def test_breach_bundle_replays_exactly(self, breach_bundle):

@@ -6,6 +6,7 @@ import pytest
 
 from repro import cli
 from repro.cli import EXIT_INFRASTRUCTURE, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION
+from repro.trace import write_bundle
 
 
 @pytest.fixture(scope="module")
@@ -71,12 +72,26 @@ class TestPostmortemCommand:
         _, bundles = traced_artifacts
         payload = json.loads(bundles[0].read_text())
         payload["events"][-1]["fields"]["requests"] = 424242
-        tampered = tmp_path / "tampered.pmb"
-        tampered.write_text(json.dumps(payload))
-        code = cli.main(["postmortem", str(tampered)])
+        # Filed under its own content digest, so it loads; the replay
+        # is what must catch the edit.
+        tampered = write_bundle(payload, str(tmp_path))
+        code = cli.main(["postmortem", tampered])
         out = capsys.readouterr().out
         assert code == EXIT_VIOLATION
         assert "REPLAY DIVERGENCE" in out
+
+    def test_renamed_bundle_is_a_typed_error_not_a_replay(
+        self, traced_artifacts, tmp_path, capsys
+    ):
+        _, bundles = traced_artifacts
+        renamed = tmp_path / f"{'0' * 16}.pmb"
+        renamed.write_bytes(bundles[0].read_bytes())
+        code = cli.main(["postmortem", str(renamed)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INFRASTRUCTURE
+        assert "does not match" in captured.err
+        assert bundles[0].stem in captured.err and "0" * 16 in captured.err
+        assert "POST-MORTEM" not in captured.out
 
     def test_unreadable_bundle_exits_infrastructure(self, tmp_path, capsys):
         garbage = tmp_path / "garbage.pmb"
