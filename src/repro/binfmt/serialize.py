@@ -7,7 +7,8 @@ the code-size experiments measure "on disk".  Layout:
 * magic + version header,
 * a JSON section table (function bodies as printed+parsed assembly is
   lossy for labels, so instructions are stored structurally),
-* rodata/bss/constructor/metadata sections.
+* rodata/bss/constructor/metadata sections; rodata and bss keep their
+  declaration order, which is the order the loader lays them out in.
 
 The format is deliberately human-greppable (JSON) rather than packed
 binary: the simulator's "bytes" live in the encoding model, and the
@@ -25,7 +26,10 @@ from ..isa.instructions import Function, Imm, Instruction, Label, Mem, Operand, 
 from .elf import Binary
 
 MAGIC = "REPRO-ELF"
-VERSION = 1
+#: Version 2 stores rodata and bss as ordered ``[name, value]`` lists:
+#: the loader lays them out in declaration order, so the order is part
+#: of the binary.  Version 1 (sorted JSON objects) is rejected.
+VERSION = 2
 
 
 def _operand_to_json(operand: Operand) -> Dict[str, Any]:
@@ -118,8 +122,8 @@ def dumps(binary: Binary) -> bytes:
         "constructors": binary.constructors,
         "needed": binary.needed,
         "functions": [_function_to_json(f) for f in binary.functions.values()],
-        "rodata": {k: v.hex() for k, v in binary.rodata.items()},
-        "bss": binary.bss,
+        "rodata": [[k, v.hex()] for k, v in binary.rodata.items()],
+        "bss": [[k, v] for k, v in binary.bss.items()],
     }
     return json.dumps(document, sort_keys=True).encode("utf-8")
 
@@ -144,8 +148,8 @@ def loads(data: bytes) -> Binary:
     binary.needed = list(document.get("needed", []))
     for function_data in document["functions"]:
         binary.add_function(_function_from_json(function_data))
-    binary.rodata = {k: bytes.fromhex(v) for k, v in document["rodata"].items()}
-    binary.bss = {k: int(v) for k, v in document.get("bss", {}).items()}
+    binary.rodata = {k: bytes.fromhex(v) for k, v in document["rodata"]}
+    binary.bss = {k: int(v) for k, v in document["bss"]}
     return binary
 
 

@@ -785,7 +785,12 @@ class CPU:
         if divisor == 0:
             raise DivisionFault("integer division by zero")
         dividend = _signed(self.registers.read("rax"))
-        quotient = int(dividend / divisor)  # x86 truncates toward zero
+        # x86 truncates toward zero; exact integer division, since a float
+        # quotient is wrong once |dividend| > 2**53.  INT64_MIN / -1 wraps
+        # to INT64_MIN (the hardware raises #DE there; not modelled).
+        quotient = abs(dividend) // abs(divisor)
+        if (dividend < 0) != (divisor < 0):
+            quotient = -quotient
         remainder = dividend - quotient * divisor
         self.registers.write("rax", quotient & WORD_MASK)
         self.registers.write("rdx", remainder & WORD_MASK)

@@ -43,6 +43,7 @@ re-materialises the lane's page.
 
 from __future__ import annotations
 
+import struct
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .. import telemetry
@@ -60,6 +61,14 @@ EXIT_ADDRESS = 0x0000_DEAD_0000_0000
 
 WORD_BYTES = 8
 WORD_MASK = (1 << 64) - 1
+
+#: The one codec every guest word load and store goes through.  A
+#: precompiled ``Struct`` reads and writes the page buffer in place, with
+#: no temporary ``bytes`` slice per access; ``unpack_from`` reads frozen
+#: ``bytes`` pages and private ``bytearray`` pages alike.
+_WORD = struct.Struct("<Q")
+_pack_word = _WORD.pack_into
+_unpack_word = _WORD.unpack_from
 
 #: COW page granularity.  4 KB mirrors the hardware page the real fork's
 #: copy-on-write operates on.
@@ -428,51 +437,28 @@ class Memory:
         """Read a 64-bit little-endian word."""
         base, end, data = self._rlane
         if base <= address and address + 8 <= end:
-            offset = address - base
-            return int.from_bytes(data[offset : offset + 8], "little")
+            return _unpack_word(data, address - base)[0]
         segment = self._locate(address, WORD_BYTES, "read", write=False)
         page, lane_base = self._read_page(segment, address)
         start = address - lane_base
         if start + 8 <= len(page):
-            return int.from_bytes(page[start : start + 8], "little")
-        return int.from_bytes(
-            segment.read_span(address - segment.base, 8), "little"
-        )
+            return _unpack_word(page, start)[0]
+        return _WORD.unpack(segment.read_span(address - segment.base, 8))[0]
 
     def write_word(self, address: int, value: int) -> None:
         """Write a 64-bit little-endian word."""
         base, end, data = self._wlane
         if base <= address and address + 8 <= end:
-            offset = address - base
-            data[offset : offset + 8] = (value & WORD_MASK).to_bytes(8, "little")
+            _pack_word(data, address - base, value & WORD_MASK)
             return
         segment = self._locate(address, WORD_BYTES, "write", write=True)
         page, lane_base = self._write_page(segment, address)
         start = address - lane_base
         if start + 8 <= len(page):
-            page[start : start + 8] = (value & WORD_MASK).to_bytes(8, "little")
+            _pack_word(page, start, value & WORD_MASK)
             return
-        segment.write_span(
-            address - segment.base, (value & WORD_MASK).to_bytes(8, "little")
-        )
+        segment.write_span(address - segment.base, _WORD.pack(value & WORD_MASK))
         self.drop_lanes()
-
-    def read_dword(self, address: int) -> int:
-        """Read a 32-bit little-endian word (for 32-bit split canaries)."""
-        base, end, data = self._rlane
-        if base <= address and address + 4 <= end:
-            offset = address - base
-            return int.from_bytes(data[offset : offset + 4], "little")
-        return int.from_bytes(self.read(address, 4), "little")
-
-    def write_dword(self, address: int, value: int) -> None:
-        """Write a 32-bit little-endian word."""
-        base, end, data = self._wlane
-        if base <= address and address + 4 <= end:
-            offset = address - base
-            data[offset : offset + 4] = (value & 0xFFFF_FFFF).to_bytes(4, "little")
-            return
-        self.write(address, (value & 0xFFFF_FFFF).to_bytes(4, "little"))
 
     def read_byte(self, address: int) -> int:
         """Read one byte."""

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..binfmt import serialize
 from ..binfmt.loader import LoadedImage, load
-from ..errors import SnapshotError
+from ..errors import LinkError, SnapshotError
 from .memory import CODE_BASE, Memory, Segment
 
 #: Bump on any incompatible change to the header layout or page packing.
@@ -157,6 +157,19 @@ def _restore_memory(
         segment._private = {}
         memory.map_segment(segment)
     return memory
+
+
+def _load_binaries(header: Dict[str, object]):
+    """The image's serialized binary and preloads.  An embedded binary in
+    another :mod:`~repro.binfmt.serialize` format version is a
+    version-mismatched image, not a link failure."""
+    try:
+        return (
+            serialize.loads(header["binary"].encode("utf-8")),
+            [serialize.loads(p.encode("utf-8")) for p in header["preloads"]],
+        )
+    except LinkError as error:
+        raise SnapshotError(f"unreadable embedded binary: {error}") from None
 
 
 def _rebuild_image(binary, preloads, segments, code_base: int) -> LoadedImage:
@@ -364,8 +377,7 @@ def restore_process(
         kernel.fork_count = kernel_doc["fork_count"]
         kernel._wall_tsc = kernel_doc["wall_tsc"]
 
-    binary = serialize.loads(header["binary"].encode("utf-8"))
-    preloads = [serialize.loads(p.encode("utf-8")) for p in header["preloads"]]
+    binary, preloads = _load_binaries(header)
     memory = _restore_memory(header["segments"], pages)
     image = _rebuild_image(binary, preloads, header["segments"], header["code_base"])
 
@@ -504,8 +516,7 @@ def dump_spawn_image(image: SpawnImage) -> bytes:
 def load_spawn_image(data: bytes) -> SpawnImage:
     """Deserialize :func:`dump_spawn_image` bytes."""
     header, pages = _unpack(data, "spawn-image")
-    binary = serialize.loads(header["binary"].encode("utf-8"))
-    preloads = [serialize.loads(p.encode("utf-8")) for p in header["preloads"]]
+    binary, preloads = _load_binaries(header)
     memory = _restore_memory(header["segments"], pages)
     image = _rebuild_image(
         binary, preloads, header["segments"], header["code_base"]

@@ -25,17 +25,17 @@ stack_size)``.  :class:`SnapshotCache` has two tiers, matched two ways:
   microseconds, with nothing serialized.
 * **On disk: the sha256 content key** (``REPRO_SNAPSHOT_DIR``).
   :meth:`SnapshotCache.key_for` hashes the serialized binary and
-  preloads, their layout order, the toolchain fingerprint, the stack
-  size and :data:`~repro.machine.snapshot.SNAPSHOT_VERSION`; it runs
+  preloads (whose format keeps function, rodata and bss declaration
+  order), the toolchain fingerprint, the stack size and
+  :data:`~repro.machine.snapshot.SNAPSHOT_VERSION`; it runs
   only when memory missed and a directory is set.  Images are
   ``<key>.simg`` files in the deterministic container format, written
   with :func:`repro.persist.atomic_write` — this is what CI's
   warm-image cache persists between workflow runs.  A loaded file is
   served only if its own binary, preloads and stack size re-derive its
-  key under the caller's scheme; anything else is a miss and is
-  rebuilt.  ``serialize`` round-trips rodata and bss in sorted order,
-  so a binary that declares them unsorted never passes that check: its
-  disk image is rebuilt every time, a miss, never a wrong image.
+  key under the caller's scheme; anything else (a truncated file, an
+  older container or binary format version, another deployment's
+  image) is a miss and is rebuilt.
 
 Spawn images are seed-free by construction, so sharing one across
 processes/runs cannot perturb determinism; the equivalence is gated by
@@ -49,7 +49,6 @@ path.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
@@ -160,15 +159,12 @@ class SnapshotCache:
     @staticmethod
     def key_for(binary, spec, preloads, stack_size: int) -> str:
         """The disk tier's content address of one (binary, scheme,
-        preloads) boot: serialized images plus their layout order."""
+        preloads) boot: serialized images, which keep layout order."""
         digest = hashlib.sha256()
         digest.update(b"snapshot-v%d" % SNAPSHOT_VERSION)
         digest.update(b"\x00" + toolchain_fingerprint(spec).encode("ascii"))
         for part in (binary, *preloads):
             digest.update(b"\x00" + serialize.dumps(part))
-            digest.update(
-                b"\x00" + json.dumps(_layout_order(part)).encode("utf-8")
-            )
         digest.update(b"\x00%d" % stack_size)
         return digest.hexdigest()
 

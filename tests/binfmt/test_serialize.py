@@ -38,6 +38,13 @@ class TestRoundTrip:
         assert restored.entry == binary.entry
         assert restored.function("handler").meta == binary.function("handler").meta
 
+    def test_rodata_and_bss_keep_declaration_order(self, binary):
+        binary.rodata = {"zz": b"Z" * 3, "aa": b"A", "mm": b""}
+        binary.bss = {"zz_bss": 16, "aa_bss": 8}
+        restored = loads(dumps(binary))
+        assert list(restored.rodata.items()) == list(binary.rodata.items())
+        assert list(restored.bss.items()) == list(binary.bss.items())
+
     def test_rodata_preserved(self, binary):
         binary.rodata["blob"] = bytes(range(256))
         restored = loads(dumps(binary))
@@ -85,6 +92,14 @@ class TestValidation:
     def test_garbage_rejected(self):
         with pytest.raises(LinkError):
             loads(b"\x7fELF\x02\x01\x01")
+
+    def test_version_1_rejected(self, binary):
+        import json
+
+        document = json.loads(dumps(binary))
+        document.update(version=1, rodata={}, bss={})
+        with pytest.raises(LinkError):
+            loads(json.dumps(document).encode())
 
     def test_wrong_version_rejected(self, binary):
         import json

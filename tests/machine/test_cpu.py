@@ -1,5 +1,8 @@
 """CPU execution semantics, driven through assembled programs."""
 
+import math
+from fractions import Fraction
+
 import pytest
 
 from repro.errors import (
@@ -40,6 +43,28 @@ class TestArithmetic:
         h = asm("f:\n mov rax, 17\n mov rcx, 5\n idiv rcx\n ret\n")
         assert h.run("f") == 3
         assert h.cpu.registers.read("rdx") == 2
+
+    @pytest.mark.parametrize("fast", [True, False])
+    @pytest.mark.parametrize("dividend, divisor", [
+        (2**62 + 1, 3), (-(2**62 + 1), 3), (2**62 + 1, -3), (-(2**62 + 1), -3),
+        (2**63 - 1, 10), (-(2**63 - 1), 7), (2**63 - 1, -(2**62 + 1)),
+        (-(2**63 - 1), 2**62 + 1), (7, 2), (-7, 2), (7, -2), (-7, -2),
+        (1, -5), (-1, 5), (0, -3),
+    ])
+    def test_idiv_is_exact_and_truncates_toward_zero(
+        self, asm, fast, dividend, divisor
+    ):
+        h = asm(
+            f"f:\n mov rax, {dividend}\n mov rcx, {divisor}\n"
+            " idiv rcx\n ret\n"
+        )
+        h.cpu.fast = fast
+        quotient = math.trunc(Fraction(dividend, divisor))
+        mask = 2**64 - 1
+        assert h.run("f") == quotient & mask
+        remainder = dividend - quotient * divisor
+        assert abs(remainder) < abs(divisor)
+        assert h.cpu.registers.read("rdx") == remainder & mask
 
     def test_idiv_by_zero_faults(self, asm):
         h = asm("f:\n mov rax, 1\n mov rcx, 0\n idiv rcx\n ret\n")

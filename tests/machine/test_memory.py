@@ -8,6 +8,8 @@ from repro.errors import SegmentationFault
 from repro.machine.memory import (
     DATA_BASE,
     HEAP_BASE,
+    PAGE,
+    WORD_MASK,
     Memory,
     Segment,
     standard_memory,
@@ -45,10 +47,6 @@ class TestAccess:
     def test_little_endian(self, memory):
         memory.write_word(HEAP_BASE, 0x01)
         assert memory.read(HEAP_BASE, 8) == b"\x01" + b"\x00" * 7
-
-    def test_dword_roundtrip(self, memory):
-        memory.write_dword(HEAP_BASE, 0xAABBCCDD)
-        assert memory.read_dword(HEAP_BASE) == 0xAABBCCDD
 
     def test_byte_roundtrip(self, memory):
         memory.write_byte(HEAP_BASE + 3, 0x7F)
@@ -120,3 +118,117 @@ def test_word_roundtrip_property(offset, value):
     memory = standard_memory()
     memory.write_word(HEAP_BASE + offset, value)
     assert memory.read_word(HEAP_BASE + offset) == value
+
+
+# -- the word codec against a plain bytearray model ------------------------
+
+#: Three full pages and a 24-byte tail page, so words straddle both full
+#: and short page boundaries.
+RAM_BASE = 0x10000
+RAM_SIZE = 3 * PAGE + 24
+
+#: Every word offset within 16 bytes of a page boundary; the last edge's
+#: run also covers every word of the tail page.
+BOUNDARY_OFFSETS = [
+    edge + delta
+    for edge in (PAGE, 2 * PAGE, 3 * PAGE)
+    for delta in range(-16, 17)
+    if edge + delta <= RAM_SIZE - 8
+]
+
+
+def ram() -> Memory:
+    memory = Memory()
+    memory.map_segment(Segment("ram", RAM_BASE, RAM_SIZE))
+    return memory
+
+
+def model_write(model: bytearray, offset: int, value: int) -> None:
+    model[offset : offset + 8] = (value & WORD_MASK).to_bytes(8, "little")
+
+
+def model_read(model: bytearray, offset: int) -> int:
+    return int.from_bytes(model[offset : offset + 8], "little")
+
+
+class TestWordCodec:
+    @pytest.mark.parametrize("offset", BOUNDARY_OFFSETS)
+    def test_every_offset_near_a_page_boundary(self, offset):
+        memory, model = ram(), bytearray(RAM_SIZE)
+        # Prime a read lane on the (still shared zero) page that holds
+        # the word's last byte: the store must not leave it stale.
+        last_page = (offset + 7) // PAGE * PAGE
+        assert memory.read_word(RAM_BASE + last_page) == 0
+        value = 0x8877665544332211 ^ offset
+        memory.write_word(RAM_BASE + offset, value)
+        model_write(model, offset, value)
+        assert memory.read_word(RAM_BASE + last_page) == model_read(model, last_page)
+        assert memory.read_word(RAM_BASE + offset) == value
+        assert memory.read(RAM_BASE, RAM_SIZE) == bytes(model)
+        # The same word again, through a freshly primed read lane.
+        memory.drop_lanes()
+        assert memory.read_word(RAM_BASE + offset) == value
+
+    @pytest.mark.parametrize("value", [-1, -(1 << 63), 1 << 63, 1 << 64,
+                                       (1 << 64) + 5, -(1 << 70) + 3])
+    def test_out_of_range_values_are_masked(self, value):
+        memory = ram()
+        memory.write_word(RAM_BASE, 0)  # primes the write lane on page 0
+        # A lane hit, a located in-page store, and a straddling store.
+        for offset in (8, PAGE + 8, 2 * PAGE - 3):
+            memory.write_word(RAM_BASE + offset, value)
+            assert memory.read_word(RAM_BASE + offset) == value & WORD_MASK
+
+    def test_word_lanes_read_a_frozen_page(self):
+        memory = ram()
+        memory.write_word(RAM_BASE + 16, 0xFEEDFACECAFEBEEF)
+        child = memory.clone()
+        page = child.segment("ram").page(0)
+        assert type(page) is bytes
+        assert child.read_word(RAM_BASE + 16) == 0xFEEDFACECAFEBEEF
+        assert child._rlane[2] is page
+
+
+WORD_OFFSETS = st.one_of(
+    st.sampled_from(BOUNDARY_OFFSETS),
+    st.integers(min_value=0, max_value=RAM_SIZE - 8),
+)
+WORD_VALUES = st.one_of(
+    st.integers(min_value=0, max_value=WORD_MASK),
+    st.integers(min_value=-(1 << 64), max_value=-1),
+    st.integers(min_value=1 << 63, max_value=(1 << 66)),
+)
+OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), st.booleans(), WORD_OFFSETS, WORD_VALUES),
+        st.tuples(st.just("read"), st.booleans(), WORD_OFFSETS),
+        st.tuples(st.just("clone")),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=OPS)
+def test_word_codec_matches_a_bytearray_model(ops):
+    """Word loads and stores, near page edges and across clones, read
+    exactly what a flat bytearray per process reads; a store on either
+    side of a fork never shows through on the other."""
+    sides = [(ram(), bytearray(RAM_SIZE))]
+    for op in ops:
+        if op[0] == "clone":
+            memory, model = sides[0]
+            sides[1:] = [(memory.clone(), bytearray(model))]
+            continue
+        on_child = op[1] and len(sides) == 2
+        memory, model = sides[1 if on_child else 0]
+        offset = op[2]
+        if op[0] == "write":
+            memory.write_word(RAM_BASE + offset, op[3])
+            model_write(model, offset, op[3])
+        else:
+            assert memory.read_word(RAM_BASE + offset) == model_read(model, offset)
+    for memory, model in sides:
+        for offset in BOUNDARY_OFFSETS:
+            assert memory.read_word(RAM_BASE + offset) == model_read(model, offset)
+        assert memory.read(RAM_BASE, RAM_SIZE) == bytes(model)

@@ -1,6 +1,7 @@
 """Spawn-image cache: exact matching, disk tier, warm ≡ cold."""
 
 import importlib
+import json
 
 import pytest
 
@@ -9,7 +10,9 @@ from repro.core.deploy import build, deploy, get_scheme
 from repro.faults.campaign import run_campaign
 from repro.kernel.kernel import Kernel
 from repro.machine.debug import architectural_snapshot, snapshot_divergences
+from repro.machine.snapshot import dump_spawn_image, prepare_spawn_image
 from repro.parallel.snapcache import (
+    IMAGE_SUFFIX,
     SnapshotCache,
     directory_stats,
     image_cache,
@@ -73,6 +76,16 @@ def with_rodata(binary, rodata):
 #: declaration order, so the reversed declaration is another layout.
 UNSORTED = {"zz_blob": b"Z" * 24, "aa_blob": b"A" * 8}
 SORTED = dict(sorted(UNSORTED.items()))
+
+
+def dumps_version_1(binary, _dumps=serialize.dumps) -> bytes:
+    """The version-1 binary format: rodata and bss as sorted objects.
+    ``_dumps`` binds the real serializer, which a test patches to this."""
+    document = json.loads(_dumps(binary))
+    document["version"] = 1
+    document["rodata"] = dict(document["rodata"])
+    document["bss"] = dict(document["bss"])
+    return json.dumps(document, sort_keys=True).encode("utf-8")
 
 
 class TestContentAddress:
@@ -151,14 +164,14 @@ class TestExactMatching:
         stats = cache.stats()
         assert (stats["misses"], stats["disk_stores"]) == (2, 2)
         assert directory_stats(str(tmp_path))["images"] == 2
-        # A fresh process: serialize round-trips rodata sorted, so the
-        # unsorted binary's image fails its load check and is rebuilt;
-        # the sorted one is served from disk.  Both still boot warm ≡ cold.
+        # A fresh process: serialize keeps rodata declaration order, so
+        # both images pass their load check and are served from disk.
+        # Both still boot warm ≡ cold.
         cache = reset_image_cache()
         for variant in (unsorted, ordered):
             assert_warm_is_cold(variant)
         stats = cache.stats()
-        assert (stats["disk_hits"], stats["misses"]) == (1, 1)
+        assert (stats["disk_hits"], stats["misses"]) == (2, 0)
 
     @pytest.mark.parametrize("mutation", ["add_function", "swap_rodata"])
     def test_mutating_the_callers_binary_after_deploy_is_a_miss(
@@ -361,6 +374,30 @@ class TestDiskTierNegativePaths:
         with pytest.raises(SnapshotError):
             load_spawn_image(stale)
         self._assert_clean_miss(tmp_path, binary)
+
+    def test_older_binary_format_misses_cleanly(self, tmp_path, monkeypatch):
+        from repro.errors import SnapshotError
+        from repro.machine.snapshot import load_spawn_image
+
+        binary = with_rodata(build(SOURCE, "pssp"), UNSORTED)
+        binary.bss = {"zz_bss": 16, "aa_bss": 8}
+        image = prepare_spawn_image(binary, stack_size=0x40000)
+        with monkeypatch.context() as patch:
+            patch.setattr(serialize, "dumps", dumps_version_1)
+            stale = dump_spawn_image(image)
+        key = SnapshotCache.key_for(binary, spec(), (), 0x40000)
+        (tmp_path / (key + IMAGE_SUFFIX)).write_bytes(stale)
+        with pytest.raises(SnapshotError):
+            load_spawn_image(stale)
+        self._assert_clean_miss(tmp_path, binary)
+        # The rebuilt image replaced the stale file: the next process
+        # is served from disk, in declaration order.
+        reader = SnapshotCache(directory=str(tmp_path))
+        served = reader.image_for(binary, spec()).binary
+        assert reader.stats()["disk_hits"] == 1
+        assert served == binary
+        assert (list(served.rodata), list(served.bss)) == \
+            (list(binary.rodata), list(binary.bss))
 
     def test_another_deployments_image_under_this_key_is_a_miss(
         self, tmp_path, monkeypatch
