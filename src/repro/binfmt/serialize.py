@@ -99,6 +99,14 @@ def _function_from_json(data: Dict[str, Any]) -> Function:
             )
         )
     function.labels = {k: int(v) for k, v in data["labels"].items()}
+    for label, index in function.labels.items():
+        # A label may sit at the end of the body, never outside it: a
+        # negative index would index the body from its end.
+        if not 0 <= index <= len(function.body):
+            raise LinkError(
+                f"{function.name}: label {label!r} at {index} is outside "
+                f"its {len(function.body)}-instruction body"
+            )
     function.protected = data.get("protected", "")
     function.has_buffer = data.get("has_buffer", False)
     function.frame_size = data.get("frame_size", 0)

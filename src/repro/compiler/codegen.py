@@ -35,7 +35,6 @@ from ..errors import CompileError
 from ..isa.instructions import Function, Imm, Label, Mem, Reg, Sym
 from ..isa.registers import ARG_REGS
 from . import ast_nodes as ast
-from .builder import AsmBuilder
 from .parser import parse
 from .passes.base import FramePlan, ProtectionPass
 from .passes.manager import get_pass
@@ -73,15 +72,11 @@ class _FunctionEmitter:
             "owf_nonce_offset": self.plan.owf_nonce_offset,
             "owf_cipher_offset": self.plan.owf_cipher_offset,
         }
-        self.builder = AsmBuilder(self.function)
         #: (break_label, continue_label) stack for loops.
         self._loops: List[Tuple[str, str]] = []
         self._string_counter = len(rodata)
 
     # -- helpers ------------------------------------------------------------
-
-    def _emit(self, op: str, *operands, note: str = "") -> None:
-        self.builder.emit(op, *operands, note=note)
 
     def _var(self, name: str):
         try:
@@ -103,22 +98,22 @@ class _FunctionEmitter:
     # -- top level -----------------------------------------------------------
 
     def emit_function(self) -> Function:
-        self._emit("push", Reg("rbp"), note="frame")
-        self._emit("mov", Reg("rbp"), Reg("rsp"), note="frame")
+        self.function.emit("push", Reg("rbp"), note="frame")
+        self.function.emit("mov", Reg("rbp"), Reg("rsp"), note="frame")
         if self.plan.frame_size:
-            self._emit("sub", Reg("rsp"), Imm(self.plan.frame_size), note="frame")
+            self.function.emit("sub", Reg("rsp"), Imm(self.plan.frame_size), note="frame")
         for param, register in zip(self.decl.params, ARG_REGS):
             slot = self.plan.var(param.name)
-            self._emit("mov", Mem(base="rbp", disp=-slot.offset), Reg(register),
-                       note="spill")
-        self.protection.emit_prologue(self.builder, self.plan)
+            self.function.emit("mov", Mem(base="rbp", disp=-slot.offset), Reg(register),
+                               note="spill")
+        self.protection.emit_prologue(self.function, self.plan)
         for statement in self.decl.body:
             self.gen_statement(statement)
-        self._emit("xor", Reg("rax"), Reg("rax"), note="implicit-return")
-        self.builder.label(_RETURN_LABEL)
-        self.protection.emit_epilogue_check(self.builder, self.plan)
-        self._emit("leave", note="frame")
-        self._emit("ret", note="frame")
+        self.function.emit("xor", Reg("rax"), Reg("rax"), note="implicit-return")
+        self.function.label_here(_RETURN_LABEL)
+        self.protection.emit_epilogue_check(self.function, self.plan)
+        self.function.emit("leave", note="frame")
+        self.function.emit("ret", note="frame")
         return self.function
 
     # -- statements -----------------------------------------------------------
@@ -139,8 +134,8 @@ class _FunctionEmitter:
             if statement.value is not None:
                 self.gen_value(statement.value)
             else:
-                self._emit("xor", Reg("rax"), Reg("rax"))
-            self._emit("jmp", Label(_RETURN_LABEL))
+                self.function.emit("xor", Reg("rax"), Reg("rax"))
+            self.function.emit("jmp", Label(_RETURN_LABEL))
             return
         if isinstance(statement, ast.If):
             self.gen_if(statement)
@@ -154,63 +149,63 @@ class _FunctionEmitter:
         if isinstance(statement, ast.Break):
             if not self._loops:
                 raise CompileError("break outside a loop", statement.line)
-            self._emit("jmp", Label(self._loops[-1][0]))
+            self.function.emit("jmp", Label(self._loops[-1][0]))
             return
         if isinstance(statement, ast.Continue):
             if not self._loops:
                 raise CompileError("continue outside a loop", statement.line)
-            self._emit("jmp", Label(self._loops[-1][1]))
+            self.function.emit("jmp", Label(self._loops[-1][1]))
             return
         raise CompileError(f"cannot generate statement {statement!r}", statement.line)
 
     def gen_if(self, statement: ast.If) -> None:
-        else_label = self.builder.fresh("else")
-        end_label = self.builder.fresh("endif")
+        else_label = self.function.fresh_label("else")
+        end_label = self.function.fresh_label("endif")
         self.gen_value(statement.cond)
-        self._emit("test", Reg("rax"), Reg("rax"))
-        self._emit("je", Label(else_label))
+        self.function.emit("test", Reg("rax"), Reg("rax"))
+        self.function.emit("je", Label(else_label))
         for inner in statement.then:
             self.gen_statement(inner)
-        self._emit("jmp", Label(end_label))
-        self.builder.label(else_label)
+        self.function.emit("jmp", Label(end_label))
+        self.function.label_here(else_label)
         for inner in statement.otherwise:
             self.gen_statement(inner)
-        self.builder.label(end_label)
+        self.function.label_here(end_label)
 
     def gen_while(self, statement: ast.While) -> None:
-        head = self.builder.fresh("while")
-        end = self.builder.fresh("wend")
-        self.builder.label(head)
+        head = self.function.fresh_label("while")
+        end = self.function.fresh_label("wend")
+        self.function.label_here(head)
         self.gen_value(statement.cond)
-        self._emit("test", Reg("rax"), Reg("rax"))
-        self._emit("je", Label(end))
+        self.function.emit("test", Reg("rax"), Reg("rax"))
+        self.function.emit("je", Label(end))
         self._loops.append((end, head))
         for inner in statement.body:
             self.gen_statement(inner)
         self._loops.pop()
-        self._emit("jmp", Label(head))
-        self.builder.label(end)
+        self.function.emit("jmp", Label(head))
+        self.function.label_here(end)
 
     def gen_for(self, statement: ast.For) -> None:
-        head = self.builder.fresh("for")
-        step_label = self.builder.fresh("fstep")
-        end = self.builder.fresh("fend")
+        head = self.function.fresh_label("for")
+        step_label = self.function.fresh_label("fstep")
+        end = self.function.fresh_label("fend")
         if statement.init is not None:
             self.gen_statement(statement.init)
-        self.builder.label(head)
+        self.function.label_here(head)
         if statement.cond is not None:
             self.gen_value(statement.cond)
-            self._emit("test", Reg("rax"), Reg("rax"))
-            self._emit("je", Label(end))
+            self.function.emit("test", Reg("rax"), Reg("rax"))
+            self.function.emit("je", Label(end))
         self._loops.append((end, step_label))
         for inner in statement.body:
             self.gen_statement(inner)
         self._loops.pop()
-        self.builder.label(step_label)
+        self.function.label_here(step_label)
         if statement.step is not None:
             self.gen_value(statement.step)
-        self._emit("jmp", Label(head))
-        self.builder.label(end)
+        self.function.emit("jmp", Label(head))
+        self.function.label_here(end)
 
     # -- lvalues -----------------------------------------------------------------
 
@@ -218,7 +213,7 @@ class _FunctionEmitter:
         """Emit code leaving an object's address in rax; return its type."""
         if isinstance(expr, ast.VarRef):
             var = self._var(expr.name)
-            self._emit("lea", Reg("rax"), Mem(base="rbp", disp=-var.offset))
+            self.function.emit("lea", Reg("rax"), Mem(base="rbp", disp=-var.offset))
             return var.ctype
         if isinstance(expr, ast.Index):
             element = self._gen_index_address(expr)
@@ -235,34 +230,34 @@ class _FunctionEmitter:
         if not (base_type.is_pointer or base_type.is_array):
             raise CompileError("subscript of a non-array", expr.line)
         element = base_type.decay().element()
-        self._emit("push", Reg("rax"))
+        self.function.emit("push", Reg("rax"))
         self.gen_value(expr.index)
-        self._emit("mov", Reg("rcx"), Reg("rax"))
-        self._emit("pop", Reg("rax"))
+        self.function.emit("mov", Reg("rcx"), Reg("rax"))
+        self.function.emit("pop", Reg("rax"))
         if element.size == 8:
-            self._emit("shl", Reg("rcx"), Imm(3))
+            self.function.emit("shl", Reg("rcx"), Imm(3))
         elif element.size != 1:
-            self._emit("imul", Reg("rcx"), Imm(element.size))
-        self._emit("add", Reg("rax"), Reg("rcx"))
+            self.function.emit("imul", Reg("rcx"), Imm(element.size))
+        self.function.emit("add", Reg("rax"), Reg("rcx"))
         return element
 
     def _load(self, ctype: ast.Type) -> None:
         """Load from the address in rax, honoring the access width."""
         if ctype.access_width == 1:
-            self._emit("movzxb", Reg("rax"), Mem(base="rax"))
+            self.function.emit("movzxb", Reg("rax"), Mem(base="rax"))
         else:
-            self._emit("mov", Reg("rax"), Mem(base="rax"))
+            self.function.emit("mov", Reg("rax"), Mem(base="rax"))
 
     # -- rvalues -----------------------------------------------------------------
 
     def gen_value(self, expr: ast.Expr) -> ast.Type:
         """Emit code leaving the expression value in rax; return its type."""
         if isinstance(expr, ast.IntLiteral):
-            self._emit("mov", Reg("rax"), Imm(expr.value))
+            self.function.emit("mov", Reg("rax"), Imm(expr.value))
             return ast.INT
         if isinstance(expr, ast.StringLiteral):
             symbol = self._intern_string(expr.value)
-            self._emit("lea", Reg("rax"), Sym(symbol))
+            self.function.emit("lea", Reg("rax"), Sym(symbol))
             return ast.Type("char", 1)
         if isinstance(expr, ast.VarRef):
             if expr.name not in self.plan.vars:
@@ -271,16 +266,16 @@ class _FunctionEmitter:
                 # for pthread_create and friends); anything else is a
                 # genuine undeclared identifier.
                 if any(f.name == expr.name for f in self.program.functions):
-                    self._emit("lea", Reg("rax"), Sym(expr.name))
+                    self.function.emit("lea", Reg("rax"), Sym(expr.name))
                     return ast.Type("void", 1)
             var = self._var(expr.name)
             if var.ctype.is_array:
-                self._emit("lea", Reg("rax"), Mem(base="rbp", disp=-var.offset))
+                self.function.emit("lea", Reg("rax"), Mem(base="rbp", disp=-var.offset))
                 return var.ctype.decay()
             if var.ctype.access_width == 1:
-                self._emit("movzxb", Reg("rax"), Mem(base="rbp", disp=-var.offset))
+                self.function.emit("movzxb", Reg("rax"), Mem(base="rbp", disp=-var.offset))
             else:
-                self._emit("mov", Reg("rax"), Mem(base="rbp", disp=-var.offset))
+                self.function.emit("mov", Reg("rax"), Mem(base="rbp", disp=-var.offset))
             return var.ctype
         if isinstance(expr, ast.Unary):
             return self.gen_unary(expr)
@@ -313,20 +308,20 @@ class _FunctionEmitter:
             return element
         if expr.op == "-":
             self.gen_value(expr.operand)
-            self._emit("neg", Reg("rax"))
+            self.function.emit("neg", Reg("rax"))
             return ast.INT
         if expr.op == "~":
             self.gen_value(expr.operand)
-            self._emit("not", Reg("rax"))
+            self.function.emit("not", Reg("rax"))
             return ast.INT
         if expr.op == "!":
             self.gen_value(expr.operand)
-            true_label = self.builder.fresh("not")
-            self._emit("test", Reg("rax"), Reg("rax"))
-            self._emit("mov", Reg("rax"), Imm(1))
-            self._emit("je", Label(true_label))
-            self._emit("mov", Reg("rax"), Imm(0))
-            self.builder.label(true_label)
+            true_label = self.function.fresh_label("not")
+            self.function.emit("test", Reg("rax"), Reg("rax"))
+            self.function.emit("mov", Reg("rax"), Imm(1))
+            self.function.emit("je", Label(true_label))
+            self.function.emit("mov", Reg("rax"), Imm(0))
+            self.function.label_here(true_label)
             return ast.INT
         raise CompileError(f"unknown unary operator {expr.op!r}", expr.line)
 
@@ -337,18 +332,18 @@ class _FunctionEmitter:
         if expr.op in ("&&", "||"):
             return self._gen_logical(expr)
         left_type = self.gen_value(expr.left)
-        self._emit("push", Reg("rax"))
+        self.function.emit("push", Reg("rax"))
         right_type = self.gen_value(expr.right)
-        self._emit("mov", Reg("rcx"), Reg("rax"))
-        self._emit("pop", Reg("rax"))
+        self.function.emit("mov", Reg("rcx"), Reg("rax"))
+        self.function.emit("pop", Reg("rax"))
 
         if expr.op in self._COMPARISONS:
-            done = self.builder.fresh("cmp")
-            self._emit("cmp", Reg("rax"), Reg("rcx"))
-            self._emit("mov", Reg("rax"), Imm(1))
-            self._emit(self._COMPARISONS[expr.op], Label(done))
-            self._emit("mov", Reg("rax"), Imm(0))
-            self.builder.label(done)
+            done = self.function.fresh_label("cmp")
+            self.function.emit("cmp", Reg("rax"), Reg("rcx"))
+            self.function.emit("mov", Reg("rax"), Imm(1))
+            self.function.emit(self._COMPARISONS[expr.op], Label(done))
+            self.function.emit("mov", Reg("rax"), Imm(0))
+            self.function.label_here(done)
             return ast.INT
 
         pointerish = left_type.is_pointer or left_type.is_array
@@ -356,75 +351,75 @@ class _FunctionEmitter:
         if expr.op == "-" and pointerish and right_pointerish:
             # Pointer difference: byte delta divided by the element size.
             element = left_type.decay().element()
-            self._emit("sub", Reg("rax"), Reg("rcx"))
+            self.function.emit("sub", Reg("rax"), Reg("rcx"))
             if element.size == 8:
-                self._emit("sar", Reg("rax"), Imm(3))
+                self.function.emit("sar", Reg("rax"), Imm(3))
             elif element.size != 1:
-                self._emit("mov", Reg("rcx"), Imm(element.size))
-                self._emit("idiv", Reg("rcx"))
+                self.function.emit("mov", Reg("rcx"), Imm(element.size))
+                self.function.emit("idiv", Reg("rcx"))
             return ast.INT
         if expr.op in ("+", "-") and pointerish:
             element = left_type.decay().element()
             if element.size == 8:
-                self._emit("shl", Reg("rcx"), Imm(3))
+                self.function.emit("shl", Reg("rcx"), Imm(3))
             elif element.size != 1:
-                self._emit("imul", Reg("rcx"), Imm(element.size))
-            self._emit("add" if expr.op == "+" else "sub", Reg("rax"), Reg("rcx"))
+                self.function.emit("imul", Reg("rcx"), Imm(element.size))
+            self.function.emit("add" if expr.op == "+" else "sub", Reg("rax"), Reg("rcx"))
             return left_type.decay()
 
         simple = {"+": "add", "-": "sub", "&": "and", "|": "or", "^": "xor",
                   "<<": "shl", ">>": "shr", "*": "imul"}
         if expr.op in simple:
-            self._emit(simple[expr.op], Reg("rax"), Reg("rcx"))
+            self.function.emit(simple[expr.op], Reg("rax"), Reg("rcx"))
             return ast.INT
         if expr.op in ("/", "%"):
-            self._emit("idiv", Reg("rcx"))
+            self.function.emit("idiv", Reg("rcx"))
             if expr.op == "%":
-                self._emit("mov", Reg("rax"), Reg("rdx"))
+                self.function.emit("mov", Reg("rax"), Reg("rdx"))
             return ast.INT
         raise CompileError(f"unknown binary operator {expr.op!r}", expr.line)
 
     def _gen_logical(self, expr: ast.Binary) -> ast.Type:
-        false_label = self.builder.fresh("sc_false")
-        true_label = self.builder.fresh("sc_true")
-        end_label = self.builder.fresh("sc_end")
+        false_label = self.function.fresh_label("sc_false")
+        true_label = self.function.fresh_label("sc_true")
+        end_label = self.function.fresh_label("sc_end")
         if expr.op == "&&":
             self.gen_value(expr.left)
-            self._emit("test", Reg("rax"), Reg("rax"))
-            self._emit("je", Label(false_label))
+            self.function.emit("test", Reg("rax"), Reg("rax"))
+            self.function.emit("je", Label(false_label))
             self.gen_value(expr.right)
-            self._emit("test", Reg("rax"), Reg("rax"))
-            self._emit("je", Label(false_label))
-            self._emit("mov", Reg("rax"), Imm(1))
-            self._emit("jmp", Label(end_label))
-            self.builder.label(false_label)
-            self._emit("mov", Reg("rax"), Imm(0))
-            self.builder.label(end_label)
-            self.builder.label(true_label)  # unused but keeps labels defined
+            self.function.emit("test", Reg("rax"), Reg("rax"))
+            self.function.emit("je", Label(false_label))
+            self.function.emit("mov", Reg("rax"), Imm(1))
+            self.function.emit("jmp", Label(end_label))
+            self.function.label_here(false_label)
+            self.function.emit("mov", Reg("rax"), Imm(0))
+            self.function.label_here(end_label)
+            self.function.label_here(true_label)  # unused but keeps labels defined
             return ast.INT
         self.gen_value(expr.left)
-        self._emit("test", Reg("rax"), Reg("rax"))
-        self._emit("jne", Label(true_label))
+        self.function.emit("test", Reg("rax"), Reg("rax"))
+        self.function.emit("jne", Label(true_label))
         self.gen_value(expr.right)
-        self._emit("test", Reg("rax"), Reg("rax"))
-        self._emit("jne", Label(true_label))
-        self._emit("mov", Reg("rax"), Imm(0))
-        self._emit("jmp", Label(end_label))
-        self.builder.label(true_label)
-        self._emit("mov", Reg("rax"), Imm(1))
-        self.builder.label(end_label)
-        self.builder.label(false_label)
+        self.function.emit("test", Reg("rax"), Reg("rax"))
+        self.function.emit("jne", Label(true_label))
+        self.function.emit("mov", Reg("rax"), Imm(0))
+        self.function.emit("jmp", Label(end_label))
+        self.function.label_here(true_label)
+        self.function.emit("mov", Reg("rax"), Imm(1))
+        self.function.label_here(end_label)
+        self.function.label_here(false_label)
         return ast.INT
 
     def gen_assign(self, expr: ast.Assign) -> ast.Type:
         target_type = self.gen_address(expr.target)
-        self._emit("push", Reg("rax"))
+        self.function.emit("push", Reg("rax"))
         self.gen_value(expr.value)
-        self._emit("pop", Reg("rcx"))
+        self.function.emit("pop", Reg("rcx"))
         if target_type.access_width == 1:
-            self._emit("movb", Mem(base="rcx"), Reg("rax"))
+            self.function.emit("movb", Mem(base="rcx"), Reg("rax"))
         else:
-            self._emit("mov", Mem(base="rcx"), Reg("rax"))
+            self.function.emit("mov", Mem(base="rcx"), Reg("rax"))
         return target_type
 
     def gen_call(self, expr: ast.Call) -> ast.Type:
@@ -435,11 +430,11 @@ class _FunctionEmitter:
             )
         for argument in expr.args:
             self.gen_value(argument)
-            self._emit("push", Reg("rax"))
+            self.function.emit("push", Reg("rax"))
         for register in reversed(ARG_REGS[: len(expr.args)]):
-            self._emit("pop", Reg(register))
-        self._emit("call", Sym(expr.name))
-        self.protection.post_call_check(self.builder, self.plan, expr.name)
+            self.function.emit("pop", Reg(register))
+        self.function.emit("call", Sym(expr.name))
+        self.protection.post_call_check(self.function, self.plan, expr.name)
         return ast.INT
 
 

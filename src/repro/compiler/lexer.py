@@ -9,6 +9,7 @@ statements and operators, string/char literals, and one extension — the
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import List
 
@@ -30,7 +31,7 @@ KEYWORDS = frozenset(
     )
 )
 
-#: Multi-character operators, longest first so maximal munch works.
+#: Operators, longest first so maximal munch works.
 _OPERATORS = (
     "<<=", ">>=",
     "==", "!=", "<=", ">=", "&&", "||", "<<", ">>",
@@ -38,6 +39,23 @@ _OPERATORS = (
     "+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|", "^", "~",
     "(", ")", "{", "}", "[", "]", ";", ",",
 )
+
+#: The token table: tried in order at each position, first match wins.
+#: Every class is ASCII; anything no row matches is an unexpected
+#: character.  Comments sit above the ``/`` operator, hex above decimal.
+_TOKEN_TABLE = (
+    ("newline", r"\n"),
+    ("space", r"[ \t\r]+"),
+    ("line_comment", r"//[^\n]*"),
+    ("block_comment", r"/\*"),
+    ("hex", r"0[xX][0-9A-Fa-f]*"),
+    ("int", r"[0-9]+"),
+    ("word", r"[A-Za-z_][A-Za-z0-9_]*"),
+    ("quote", r"[\"']"),
+    ("op", "|".join(re.escape(operator) for operator in _OPERATORS)),
+)
+
+_TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _TOKEN_TABLE))
 
 _ESCAPES = {"n": "\n", "t": "\t", "0": "\0", "\\": "\\", "'": "'", '"': '"', "r": "\r"}
 
@@ -58,70 +76,49 @@ class Token:
 def tokenize(source: str) -> List[Token]:
     """Tokenize MiniC source, raising :class:`CompileError` on bad input."""
     tokens: List[Token] = []
+    append = tokens.append
+    match = _TOKEN_RE.match
     line = 1
     i = 0
     n = len(source)
     while i < n:
-        char = source[i]
-        if char == "\n":
+        found = match(source, i)
+        if found is None:
+            raise CompileError(f"unexpected character {source[i]!r}", line)
+        kind = found.lastgroup
+        text = found.group()
+        i = found.end()
+        if kind == "op":
+            append(Token("op", text, 0, line))
+        elif kind == "word":
+            append(Token("kw" if text in KEYWORDS else "ident", text, 0, line))
+        elif kind == "newline":
             line += 1
-            i += 1
-            continue
-        if char in " \t\r":
-            i += 1
-            continue
-        if source.startswith("//", i):
-            end = source.find("\n", i)
-            i = n if end < 0 else end
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
+        elif kind == "int":
+            try:
+                append(Token("int", text, int(text), line))
+            except ValueError:  # past CPython's int-from-str digit limit
+                raise CompileError(f"integer literal of {len(text)} digits", line) from None
+        elif kind == "hex":
+            if len(text) == 2:
+                raise CompileError(f"hex literal {text!r} has no digits", line)
+            append(Token("int", text, int(text, 16), line))
+        elif kind == "quote":
+            value, i = _scan_quoted(source, i - 1, text, line)
+            if text == '"':
+                append(Token("string", value, 0, line))
+            elif len(value) != 1:
+                raise CompileError(f"bad char literal {value!r}", line)
+            else:
+                append(Token("char", value, ord(value), line))
+        elif kind == "block_comment":
+            end = source.find("*/", i)
             if end < 0:
                 raise CompileError("unterminated block comment", line)
             line += source.count("\n", i, end)
             i = end + 2
-            continue
-        if char.isdigit():
-            j = i
-            if source.startswith("0x", i) or source.startswith("0X", i):
-                j = i + 2
-                while j < n and source[j] in "0123456789abcdefABCDEF":
-                    j += 1
-                value = int(source[i:j], 16)
-            else:
-                while j < n and source[j].isdigit():
-                    j += 1
-                value = int(source[i:j])
-            tokens.append(Token("int", source[i:j], value, line))
-            i = j
-            continue
-        if char.isalpha() or char == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = "kw" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, 0, line))
-            i = j
-            continue
-        if char == '"':
-            value_chars, i = _scan_quoted(source, i, '"', line)
-            tokens.append(Token("string", value_chars, 0, line))
-            continue
-        if char == "'":
-            value_chars, i = _scan_quoted(source, i, "'", line)
-            if len(value_chars) != 1:
-                raise CompileError(f"bad char literal {value_chars!r}", line)
-            tokens.append(Token("char", value_chars, ord(value_chars), line))
-            continue
-        for operator in _OPERATORS:
-            if source.startswith(operator, i):
-                tokens.append(Token("op", operator, 0, line))
-                i += len(operator)
-                break
-        else:
-            raise CompileError(f"unexpected character {char!r}", line)
-    tokens.append(Token("eof", "", 0, line))
+        # "space" and "line_comment" produce no token.
+    append(Token("eof", "", 0, line))
     return tokens
 
 

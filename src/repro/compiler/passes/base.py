@@ -14,6 +14,10 @@ prologue/epilogue instrumentation.  Our compiler mirrors that contract:
 * :meth:`ProtectionPass.post_call_check` — optional canary inspection
   after overflow-prone libc calls (used by P-SSP-LV, §IV-B).
 
+The three emission hooks receive the :class:`Function` the code
+generator is filling and append to it directly (``emit``,
+``fresh_label``, ``label_here``).
+
 Frame-layout convention (addresses descending from the saved base
 pointer): canary region first (``[rbp-8]`` downward), then arrays —
 closest to the canaries, GCC ``-fstack-protector`` style, so a buffer
@@ -118,17 +122,17 @@ class ProtectionPass:
 
     # -- instrumentation ----------------------------------------------------------
 
-    def emit_prologue(self, builder, plan: FramePlan) -> None:
+    def emit_prologue(self, function: Function, plan: FramePlan) -> None:
         """Emit instrumentation right after frame setup (``sub rsp, N``)."""
 
-    def emit_epilogue_check(self, builder, plan: FramePlan) -> None:
+    def emit_epilogue_check(self, function: Function, plan: FramePlan) -> None:
         """Emit the check sequence immediately before ``leave; ret``.
 
         On mismatch the sequence must transfer control to
         ``__stack_chk_fail``; on success it must fall through.
         """
 
-    def post_call_check(self, builder, plan: FramePlan, callee: str) -> None:
+    def post_call_check(self, function: Function, plan: FramePlan, callee: str) -> None:
         """Optional inspection after a call to an overflow-prone routine."""
 
     # -- runtime side ----------------------------------------------------------------

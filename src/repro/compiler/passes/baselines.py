@@ -38,34 +38,34 @@ class DynaGuardPass(SSPPass):
 
     name = "dynaguard"
 
-    def emit_prologue(self, builder, plan: FramePlan) -> None:
+    def emit_prologue(self, function, plan: FramePlan) -> None:
         if not plan.protected:
             return
-        super().emit_prologue(builder, plan)
+        super().emit_prologue(function, plan)
         note = "dynaguard-prologue"
         slot = plan.canary_slots[0]
-        builder.emit("mov", Reg("rcx"), Mem(seg="fs", disp=DYNAGUARD_CAB_BASE_OFFSET),
-                     note=note)
-        builder.emit("mov", Reg("rdx"), Mem(seg="fs", disp=DYNAGUARD_CAB_INDEX_OFFSET),
-                     note=note)
-        builder.emit("lea", Reg("rax"), Mem(base="rbp", disp=-slot), note=note)
-        builder.emit("mov", Mem(base="rcx", index="rdx", scale=8), Reg("rax"),
-                     note=note)
-        builder.emit("inc", Reg("rdx"), note=note)
-        builder.emit("mov", Mem(seg="fs", disp=DYNAGUARD_CAB_INDEX_OFFSET), Reg("rdx"),
-                     note=note)
-        builder.emit("xor", Reg("rax"), Reg("rax"), note=note)
+        function.emit("mov", Reg("rcx"), Mem(seg="fs", disp=DYNAGUARD_CAB_BASE_OFFSET),
+                      note=note)
+        function.emit("mov", Reg("rdx"), Mem(seg="fs", disp=DYNAGUARD_CAB_INDEX_OFFSET),
+                      note=note)
+        function.emit("lea", Reg("rax"), Mem(base="rbp", disp=-slot), note=note)
+        function.emit("mov", Mem(base="rcx", index="rdx", scale=8), Reg("rax"),
+                      note=note)
+        function.emit("inc", Reg("rdx"), note=note)
+        function.emit("mov", Mem(seg="fs", disp=DYNAGUARD_CAB_INDEX_OFFSET), Reg("rdx"),
+                      note=note)
+        function.emit("xor", Reg("rax"), Reg("rax"), note=note)
 
-    def emit_epilogue_check(self, builder, plan: FramePlan) -> None:
+    def emit_epilogue_check(self, function, plan: FramePlan) -> None:
         if not plan.protected:
             return
         note = "dynaguard-epilogue"
-        builder.emit("mov", Reg("rdx"), Mem(seg="fs", disp=DYNAGUARD_CAB_INDEX_OFFSET),
-                     note=note)
-        builder.emit("dec", Reg("rdx"), note=note)
-        builder.emit("mov", Mem(seg="fs", disp=DYNAGUARD_CAB_INDEX_OFFSET), Reg("rdx"),
-                     note=note)
-        super().emit_epilogue_check(builder, plan)
+        function.emit("mov", Reg("rdx"), Mem(seg="fs", disp=DYNAGUARD_CAB_INDEX_OFFSET),
+                      note=note)
+        function.emit("dec", Reg("rdx"), note=note)
+        function.emit("mov", Mem(seg="fs", disp=DYNAGUARD_CAB_INDEX_OFFSET), Reg("rdx"),
+                      note=note)
+        super().emit_epilogue_check(function, plan)
 
     def runtime(self):
         from ...core.baselines import DynaGuardRuntime
@@ -86,42 +86,42 @@ class DCRPass(SSPPass):
     #: Bits of the canary sacrificed for the embedded offset.
     OFFSET_BITS = 16
 
-    def emit_prologue(self, builder, plan: FramePlan) -> None:
+    def emit_prologue(self, function, plan: FramePlan) -> None:
         if not plan.protected:
             return
         note = "dcr-prologue"
         slot = plan.canary_slots[0]
-        builder.emit("mov", Reg("rax"), Mem(seg="fs", disp=CANARY_OFFSET), note=note)
-        builder.emit("mov", Reg("rcx"), Mem(seg="fs", disp=DCR_LIST_HEAD_OFFSET),
-                     note=note)
-        builder.emit("lea", Reg("rdx"), Mem(base="rbp", disp=-slot), note=note)
-        builder.emit("mov", Mem(seg="fs", disp=DCR_LIST_HEAD_OFFSET), Reg("rdx"),
-                     note=note)
-        builder.emit("sub", Reg("rcx"), Reg("rdx"), note=note)
-        builder.emit("shr", Reg("rcx"), Imm(3), note=note)
-        builder.emit("xor", Reg("rax"), Reg("rcx"), note=note)
-        builder.emit("mov", Mem(base="rbp", disp=-slot), Reg("rax"), note=note)
-        builder.emit("xor", Reg("rax"), Reg("rax"), note=note)
+        function.emit("mov", Reg("rax"), Mem(seg="fs", disp=CANARY_OFFSET), note=note)
+        function.emit("mov", Reg("rcx"), Mem(seg="fs", disp=DCR_LIST_HEAD_OFFSET),
+                      note=note)
+        function.emit("lea", Reg("rdx"), Mem(base="rbp", disp=-slot), note=note)
+        function.emit("mov", Mem(seg="fs", disp=DCR_LIST_HEAD_OFFSET), Reg("rdx"),
+                      note=note)
+        function.emit("sub", Reg("rcx"), Reg("rdx"), note=note)
+        function.emit("shr", Reg("rcx"), Imm(3), note=note)
+        function.emit("xor", Reg("rax"), Reg("rcx"), note=note)
+        function.emit("mov", Mem(base="rbp", disp=-slot), Reg("rax"), note=note)
+        function.emit("xor", Reg("rax"), Reg("rax"), note=note)
 
-    def emit_epilogue_check(self, builder, plan: FramePlan) -> None:
+    def emit_epilogue_check(self, function, plan: FramePlan) -> None:
         if not plan.protected:
             return
         note = "dcr-epilogue"
         slot = plan.canary_slots[0]
-        ok = builder.fresh("dcr_ok")
-        builder.emit("mov", Reg("rdx"), Mem(base="rbp", disp=-slot), note=note)
-        builder.emit("xor", Reg("rdx"), Mem(seg="fs", disp=CANARY_OFFSET), note=note)
-        builder.emit("mov", Reg("rcx"), Reg("rdx"), note=note)
-        builder.emit("shr", Reg("rcx"), Imm(self.OFFSET_BITS), note=note)
-        builder.emit("je", Label(ok), note=note)
-        builder.emit("call", Sym("__stack_chk_fail"), note=note)
-        builder.label(ok)
+        ok = function.fresh_label("dcr_ok")
+        function.emit("mov", Reg("rdx"), Mem(base="rbp", disp=-slot), note=note)
+        function.emit("xor", Reg("rdx"), Mem(seg="fs", disp=CANARY_OFFSET), note=note)
+        function.emit("mov", Reg("rcx"), Reg("rdx"), note=note)
+        function.emit("shr", Reg("rcx"), Imm(self.OFFSET_BITS), note=note)
+        function.emit("je", Label(ok), note=note)
+        function.emit("call", Sym("__stack_chk_fail"), note=note)
+        function.label_here(ok)
         # Pop the list: head = this_canary_address + delta * 8.
-        builder.emit("shl", Reg("rdx"), Imm(3), note=note)
-        builder.emit("lea", Reg("rcx"), Mem(base="rbp", disp=-slot), note=note)
-        builder.emit("add", Reg("rcx"), Reg("rdx"), note=note)
-        builder.emit("mov", Mem(seg="fs", disp=DCR_LIST_HEAD_OFFSET), Reg("rcx"),
-                     note=note)
+        function.emit("shl", Reg("rdx"), Imm(3), note=note)
+        function.emit("lea", Reg("rcx"), Mem(base="rbp", disp=-slot), note=note)
+        function.emit("add", Reg("rcx"), Reg("rdx"), note=note)
+        function.emit("mov", Mem(seg="fs", disp=DCR_LIST_HEAD_OFFSET), Reg("rcx"),
+                      note=note)
 
     def runtime(self):
         from ...core.baselines import DCRRuntime

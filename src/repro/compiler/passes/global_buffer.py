@@ -25,48 +25,48 @@ class GlobalBufferPass(SSPPass):
 
     name = "pssp-gb"
 
-    def emit_prologue(self, builder, plan: FramePlan) -> None:
+    def emit_prologue(self, function, plan: FramePlan) -> None:
         if not plan.protected:
             return
         note = "pssp-gb-prologue"
         slot = plan.canary_slots[0]
-        builder.emit("rdrand", Reg("rax"), note=note)
-        builder.emit("mov", Mem(base="rbp", disp=-slot), Reg("rax"), note=note)
-        builder.emit("mov", Reg("rcx"), Mem(seg="fs", disp=CANARY_OFFSET), note=note)
-        builder.emit("xor", Reg("rcx"), Reg("rax"), note=note)
-        builder.emit("mov", Reg("rdx"), Mem(seg="fs", disp=GLOBAL_BUFFER_BASE_OFFSET),
-                     note=note)
-        builder.emit("mov", Reg("r10"), Mem(seg="fs", disp=GLOBAL_BUFFER_COUNT_OFFSET),
-                     note=note)
-        builder.emit("mov", Mem(base="rdx", index="r10", scale=8), Reg("rcx"),
-                     note=note)
-        builder.emit("inc", Reg("r10"), note=note)
-        builder.emit("mov", Mem(seg="fs", disp=GLOBAL_BUFFER_COUNT_OFFSET), Reg("r10"),
-                     note=note)
-        builder.emit("xor", Reg("rax"), Reg("rax"), note=note)
-        builder.emit("xor", Reg("rcx"), Reg("rcx"), note=note)
+        function.emit("rdrand", Reg("rax"), note=note)
+        function.emit("mov", Mem(base="rbp", disp=-slot), Reg("rax"), note=note)
+        function.emit("mov", Reg("rcx"), Mem(seg="fs", disp=CANARY_OFFSET), note=note)
+        function.emit("xor", Reg("rcx"), Reg("rax"), note=note)
+        function.emit("mov", Reg("rdx"), Mem(seg="fs", disp=GLOBAL_BUFFER_BASE_OFFSET),
+                      note=note)
+        function.emit("mov", Reg("r10"), Mem(seg="fs", disp=GLOBAL_BUFFER_COUNT_OFFSET),
+                      note=note)
+        function.emit("mov", Mem(base="rdx", index="r10", scale=8), Reg("rcx"),
+                      note=note)
+        function.emit("inc", Reg("r10"), note=note)
+        function.emit("mov", Mem(seg="fs", disp=GLOBAL_BUFFER_COUNT_OFFSET), Reg("r10"),
+                      note=note)
+        function.emit("xor", Reg("rax"), Reg("rax"), note=note)
+        function.emit("xor", Reg("rcx"), Reg("rcx"), note=note)
 
-    def emit_epilogue_check(self, builder, plan: FramePlan) -> None:
+    def emit_epilogue_check(self, function, plan: FramePlan) -> None:
         if not plan.protected:
             return
         note = "pssp-gb-epilogue"
         slot = plan.canary_slots[0]
-        ok = builder.fresh("gb_ok")
-        builder.emit("mov", Reg("r10"), Mem(seg="fs", disp=GLOBAL_BUFFER_COUNT_OFFSET),
-                     note=note)
-        builder.emit("dec", Reg("r10"), note=note)
-        builder.emit("mov", Mem(seg="fs", disp=GLOBAL_BUFFER_COUNT_OFFSET), Reg("r10"),
-                     note=note)
-        builder.emit("mov", Reg("rdx"), Mem(seg="fs", disp=GLOBAL_BUFFER_BASE_OFFSET),
-                     note=note)
-        builder.emit("mov", Reg("rdi"), Mem(base="rdx", index="r10", scale=8),
-                     note=note)
-        builder.emit("mov", Reg("rdx"), Mem(base="rbp", disp=-slot), note=note)
-        builder.emit("xor", Reg("rdx"), Reg("rdi"), note=note)
-        builder.emit("xor", Reg("rdx"), Mem(seg="fs", disp=CANARY_OFFSET), note=note)
-        builder.emit("je", Label(ok), note=note)
-        builder.emit("call", Sym("__stack_chk_fail"), note=note)
-        builder.label(ok)
+        ok = function.fresh_label("gb_ok")
+        function.emit("mov", Reg("r10"), Mem(seg="fs", disp=GLOBAL_BUFFER_COUNT_OFFSET),
+                      note=note)
+        function.emit("dec", Reg("r10"), note=note)
+        function.emit("mov", Mem(seg="fs", disp=GLOBAL_BUFFER_COUNT_OFFSET), Reg("r10"),
+                      note=note)
+        function.emit("mov", Reg("rdx"), Mem(seg="fs", disp=GLOBAL_BUFFER_BASE_OFFSET),
+                      note=note)
+        function.emit("mov", Reg("rdi"), Mem(base="rdx", index="r10", scale=8),
+                      note=note)
+        function.emit("mov", Reg("rdx"), Mem(base="rbp", disp=-slot), note=note)
+        function.emit("xor", Reg("rdx"), Reg("rdi"), note=note)
+        function.emit("xor", Reg("rdx"), Mem(seg="fs", disp=CANARY_OFFSET), note=note)
+        function.emit("je", Label(ok), note=note)
+        function.emit("call", Sym("__stack_chk_fail"), note=note)
+        function.label_here(ok)
 
     def runtime(self):
         from ...core.schemes import GlobalBufferRuntime

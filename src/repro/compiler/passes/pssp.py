@@ -26,35 +26,35 @@ class PSSPPass(ProtectionPass):
     def canary_bytes(self, decl) -> int:
         return 16
 
-    def emit_prologue(self, builder, plan: FramePlan) -> None:
+    def emit_prologue(self, function, plan: FramePlan) -> None:
         if not plan.protected:
             return
         c0_slot, c1_slot = plan.canary_slots[0], plan.canary_slots[1]
-        builder.emit("mov", Reg("rax"), Mem(seg="fs", disp=SHADOW_C0_OFFSET),
-                     note="pssp-prologue")
-        builder.emit("mov", Mem(base="rbp", disp=-c0_slot), Reg("rax"),
-                     note="pssp-prologue")
-        builder.emit("mov", Reg("rax"), Mem(seg="fs", disp=SHADOW_C1_OFFSET),
-                     note="pssp-prologue")
-        builder.emit("mov", Mem(base="rbp", disp=-c1_slot), Reg("rax"),
-                     note="pssp-prologue")
-        builder.emit("xor", Reg("rax"), Reg("rax"), note="pssp-prologue")
+        function.emit("mov", Reg("rax"), Mem(seg="fs", disp=SHADOW_C0_OFFSET),
+                      note="pssp-prologue")
+        function.emit("mov", Mem(base="rbp", disp=-c0_slot), Reg("rax"),
+                      note="pssp-prologue")
+        function.emit("mov", Reg("rax"), Mem(seg="fs", disp=SHADOW_C1_OFFSET),
+                      note="pssp-prologue")
+        function.emit("mov", Mem(base="rbp", disp=-c1_slot), Reg("rax"),
+                      note="pssp-prologue")
+        function.emit("xor", Reg("rax"), Reg("rax"), note="pssp-prologue")
 
-    def emit_epilogue_check(self, builder, plan: FramePlan) -> None:
+    def emit_epilogue_check(self, function, plan: FramePlan) -> None:
         if not plan.protected:
             return
         c0_slot, c1_slot = plan.canary_slots[0], plan.canary_slots[1]
-        ok = builder.fresh("pssp_ok")
-        builder.emit("mov", Reg("rdx"), Mem(base="rbp", disp=-c0_slot),
-                     note="pssp-epilogue")
-        builder.emit("mov", Reg("rdi"), Mem(base="rbp", disp=-c1_slot),
-                     note="pssp-epilogue")
-        builder.emit("xor", Reg("rdx"), Reg("rdi"), note="pssp-epilogue")
-        builder.emit("xor", Reg("rdx"), Mem(seg="fs", disp=CANARY_OFFSET),
-                     note="pssp-epilogue")
-        builder.emit("je", Label(ok), note="pssp-epilogue")
-        builder.emit("call", Sym("__stack_chk_fail"), note="pssp-epilogue")
-        builder.label(ok)
+        ok = function.fresh_label("pssp_ok")
+        function.emit("mov", Reg("rdx"), Mem(base="rbp", disp=-c0_slot),
+                      note="pssp-epilogue")
+        function.emit("mov", Reg("rdi"), Mem(base="rbp", disp=-c1_slot),
+                      note="pssp-epilogue")
+        function.emit("xor", Reg("rdx"), Reg("rdi"), note="pssp-epilogue")
+        function.emit("xor", Reg("rdx"), Mem(seg="fs", disp=CANARY_OFFSET),
+                      note="pssp-epilogue")
+        function.emit("je", Label(ok), note="pssp-epilogue")
+        function.emit("call", Sym("__stack_chk_fail"), note="pssp-epilogue")
+        function.label_here(ok)
 
     def runtime(self):
         from ...libc.preload import PSSPPreload

@@ -100,50 +100,50 @@ class PSSPLVPass(ProtectionPass):
 
     # -- instrumentation ----------------------------------------------------------
 
-    def emit_prologue(self, builder, plan: FramePlan) -> None:
+    def emit_prologue(self, function, plan: FramePlan) -> None:
         if not plan.protected:
             return
         slots = plan.canary_slots
         count = len(slots)
         for j, slot in enumerate(slots[:-1]):
-            builder.emit("rdrand", Reg("rax"), note="pssp-lv-prologue")
-            builder.emit("mov", Mem(base="rbp", disp=-slot), Reg("rax"),
-                         note="pssp-lv-prologue")
+            function.emit("rdrand", Reg("rax"), note="pssp-lv-prologue")
+            function.emit("mov", Mem(base="rbp", disp=-slot), Reg("rax"),
+                          note="pssp-lv-prologue")
             if j == 0:
-                builder.emit("mov", Reg("rcx"), Reg("rax"),
-                             note="pssp-lv-prologue")
+                function.emit("mov", Reg("rcx"), Reg("rax"),
+                              note="pssp-lv-prologue")
             else:
-                builder.emit("xor", Reg("rcx"), Reg("rax"),
-                             note="pssp-lv-prologue")
+                function.emit("xor", Reg("rcx"), Reg("rax"),
+                              note="pssp-lv-prologue")
         # Last canary: computed so the XOR of all canaries equals C.
-        builder.emit("mov", Reg("rax"), Mem(seg="fs", disp=CANARY_OFFSET),
-                     note="pssp-lv-prologue")
+        function.emit("mov", Reg("rax"), Mem(seg="fs", disp=CANARY_OFFSET),
+                      note="pssp-lv-prologue")
         if count > 1:
-            builder.emit("xor", Reg("rax"), Reg("rcx"), note="pssp-lv-prologue")
-        builder.emit("mov", Mem(base="rbp", disp=-slots[-1]), Reg("rax"),
-                     note="pssp-lv-prologue")
-        builder.emit("xor", Reg("rax"), Reg("rax"), note="pssp-lv-prologue")
-        builder.emit("xor", Reg("rcx"), Reg("rcx"), note="pssp-lv-prologue")
+            function.emit("xor", Reg("rax"), Reg("rcx"), note="pssp-lv-prologue")
+        function.emit("mov", Mem(base="rbp", disp=-slots[-1]), Reg("rax"),
+                      note="pssp-lv-prologue")
+        function.emit("xor", Reg("rax"), Reg("rax"), note="pssp-lv-prologue")
+        function.emit("xor", Reg("rcx"), Reg("rcx"), note="pssp-lv-prologue")
 
-    def _emit_check(self, builder, plan: FramePlan, note: str) -> None:
+    def _check(self, function, plan: FramePlan, note: str) -> None:
         slots = plan.canary_slots
-        ok = builder.fresh("lv_ok")
-        builder.emit("mov", Reg("rdx"), Mem(base="rbp", disp=-slots[0]), note=note)
+        ok = function.fresh_label("lv_ok")
+        function.emit("mov", Reg("rdx"), Mem(base="rbp", disp=-slots[0]), note=note)
         for slot in slots[1:]:
-            builder.emit("xor", Reg("rdx"), Mem(base="rbp", disp=-slot), note=note)
-        builder.emit("xor", Reg("rdx"), Mem(seg="fs", disp=CANARY_OFFSET), note=note)
-        builder.emit("je", Label(ok), note=note)
-        builder.emit("call", Sym("__stack_chk_fail"), note=note)
-        builder.label(ok)
+            function.emit("xor", Reg("rdx"), Mem(base="rbp", disp=-slot), note=note)
+        function.emit("xor", Reg("rdx"), Mem(seg="fs", disp=CANARY_OFFSET), note=note)
+        function.emit("je", Label(ok), note=note)
+        function.emit("call", Sym("__stack_chk_fail"), note=note)
+        function.label_here(ok)
 
-    def emit_epilogue_check(self, builder, plan: FramePlan) -> None:
+    def emit_epilogue_check(self, function, plan: FramePlan) -> None:
         if plan.protected:
-            self._emit_check(builder, plan, "pssp-lv-epilogue")
+            self._check(function, plan, "pssp-lv-epilogue")
 
-    def post_call_check(self, builder, plan: FramePlan, callee: str) -> None:
+    def post_call_check(self, function, plan: FramePlan, callee: str) -> None:
         if not (plan.protected and self.check_on_write):
             return
         from ...libc.builtins import OVERFLOW_VECTORS
 
         if callee in OVERFLOW_VECTORS:
-            self._emit_check(builder, plan, "pssp-lv-postwrite")
+            self._check(function, plan, "pssp-lv-postwrite")

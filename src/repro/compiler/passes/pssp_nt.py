@@ -29,20 +29,20 @@ class PSSPNTPass(PSSPPass):
 
     name = "pssp-nt"
 
-    def emit_prologue(self, builder, plan: FramePlan) -> None:
+    def emit_prologue(self, function, plan: FramePlan) -> None:
         if not plan.protected:
             return
         c0_slot, c1_slot = plan.canary_slots[0], plan.canary_slots[1]
-        builder.emit("rdrand", Reg("rax"), note="pssp-nt-prologue")
-        builder.emit("mov", Mem(base="rbp", disp=-c0_slot), Reg("rax"),
-                     note="pssp-nt-prologue")
-        builder.emit("mov", Reg("rcx"), Mem(seg="fs", disp=CANARY_OFFSET),
-                     note="pssp-nt-prologue")
-        builder.emit("xor", Reg("rcx"), Reg("rax"), note="pssp-nt-prologue")
-        builder.emit("mov", Mem(base="rbp", disp=-c1_slot), Reg("rcx"),
-                     note="pssp-nt-prologue")
-        builder.emit("xor", Reg("rax"), Reg("rax"), note="pssp-nt-prologue")
-        builder.emit("xor", Reg("rcx"), Reg("rcx"), note="pssp-nt-prologue")
+        function.emit("rdrand", Reg("rax"), note="pssp-nt-prologue")
+        function.emit("mov", Mem(base="rbp", disp=-c0_slot), Reg("rax"),
+                      note="pssp-nt-prologue")
+        function.emit("mov", Reg("rcx"), Mem(seg="fs", disp=CANARY_OFFSET),
+                      note="pssp-nt-prologue")
+        function.emit("xor", Reg("rcx"), Reg("rax"), note="pssp-nt-prologue")
+        function.emit("mov", Mem(base="rbp", disp=-c1_slot), Reg("rcx"),
+                      note="pssp-nt-prologue")
+        function.emit("xor", Reg("rax"), Reg("rax"), note="pssp-nt-prologue")
+        function.emit("xor", Reg("rcx"), Reg("rcx"), note="pssp-nt-prologue")
 
     def runtime(self):
         return None  # the whole point: no runtime support needed
@@ -63,45 +63,45 @@ class PSSPNTHardenedPass(PSSPNTPass):
 
     name = "pssp-nt-hardened"
 
-    def emit_prologue(self, builder, plan: FramePlan) -> None:
+    def emit_prologue(self, function, plan: FramePlan) -> None:
         if not plan.protected:
             return
         c0_slot, c1_slot = plan.canary_slots[0], plan.canary_slots[1]
         note = "pssp-nt-hardened"
-        retry = builder.fresh("ntrh_retry")
-        fresh_ok = builder.fresh("ntrh_ok")
-        done = builder.fresh("ntrh_done")
+        retry = function.fresh_label("ntrh_retry")
+        fresh_ok = function.fresh_label("ntrh_ok")
+        done = function.fresh_label("ntrh_done")
         # rdx is free here: parameters are spilled to frame slots before
         # the protection prologue runs (codegen emits spills first).
-        builder.emit("mov", Reg("rdx"), Imm(RDRAND_RETRY_LIMIT), note=note)
-        builder.label(retry)
-        builder.emit("rdrand", Reg("rax"), note=note)
-        builder.emit("jb", Label(fresh_ok), note=note)
-        builder.emit("nop", note=note)  # pause-style backoff between attempts
-        builder.emit("dec", Reg("rdx"), note=note)
-        builder.emit("jne", Label(retry), note=note)
+        function.emit("mov", Reg("rdx"), Imm(RDRAND_RETRY_LIMIT), note=note)
+        function.label_here(retry)
+        function.emit("rdrand", Reg("rax"), note=note)
+        function.emit("jb", Label(fresh_ok), note=note)
+        function.emit("nop", note=note)  # pause-style backoff between attempts
+        function.emit("dec", Reg("rdx"), note=note)
+        function.emit("jne", Label(retry), note=note)
         # Retry budget exhausted: fail closed onto the TLS shadow pair.
-        builder.emit("mov", Reg("rax"), Mem(seg="fs", disp=SHADOW_C0_OFFSET),
-                     note="pssp-nt-fallback")
-        builder.emit("mov", Mem(base="rbp", disp=-c0_slot), Reg("rax"),
-                     note="pssp-nt-fallback-c0")
-        builder.emit("mov", Reg("rcx"), Mem(seg="fs", disp=SHADOW_C1_OFFSET),
-                     note="pssp-nt-fallback")
-        builder.emit("mov", Mem(base="rbp", disp=-c1_slot), Reg("rcx"),
-                     note="pssp-nt-fallback")
-        builder.emit("jmp", Label(done), note=note)
-        builder.label(fresh_ok)
-        builder.emit("mov", Mem(base="rbp", disp=-c0_slot), Reg("rax"),
-                     note="pssp-nt-hardened-c0")
-        builder.emit("mov", Reg("rcx"), Mem(seg="fs", disp=CANARY_OFFSET),
-                     note=note)
-        builder.emit("xor", Reg("rcx"), Reg("rax"), note=note)
-        builder.emit("mov", Mem(base="rbp", disp=-c1_slot), Reg("rcx"),
-                     note=note)
-        builder.label(done)
-        builder.emit("xor", Reg("rax"), Reg("rax"), note=note)
-        builder.emit("xor", Reg("rcx"), Reg("rcx"), note=note)
-        builder.emit("xor", Reg("rdx"), Reg("rdx"), note=note)
+        function.emit("mov", Reg("rax"), Mem(seg="fs", disp=SHADOW_C0_OFFSET),
+                      note="pssp-nt-fallback")
+        function.emit("mov", Mem(base="rbp", disp=-c0_slot), Reg("rax"),
+                      note="pssp-nt-fallback-c0")
+        function.emit("mov", Reg("rcx"), Mem(seg="fs", disp=SHADOW_C1_OFFSET),
+                      note="pssp-nt-fallback")
+        function.emit("mov", Mem(base="rbp", disp=-c1_slot), Reg("rcx"),
+                      note="pssp-nt-fallback")
+        function.emit("jmp", Label(done), note=note)
+        function.label_here(fresh_ok)
+        function.emit("mov", Mem(base="rbp", disp=-c0_slot), Reg("rax"),
+                      note="pssp-nt-hardened-c0")
+        function.emit("mov", Reg("rcx"), Mem(seg="fs", disp=CANARY_OFFSET),
+                      note=note)
+        function.emit("xor", Reg("rcx"), Reg("rax"), note=note)
+        function.emit("mov", Mem(base="rbp", disp=-c1_slot), Reg("rcx"),
+                      note=note)
+        function.label_here(done)
+        function.emit("xor", Reg("rax"), Reg("rax"), note=note)
+        function.emit("xor", Reg("rcx"), Reg("rcx"), note=note)
+        function.emit("xor", Reg("rdx"), Reg("rdx"), note=note)
 
     def runtime(self):
         from ...core.schemes import HardenedNTRuntime

@@ -34,45 +34,45 @@ class PSSPOWFPass(ProtectionPass):
             plan.owf_cipher_offset = plan.canary_slots[2]     # [rbp-24]
         return plan
 
-    def _emit_mac(self, builder, plan: FramePlan, note: str,
-                  nonce_reg: str = "rax") -> None:
+    def _mac(self, function, plan: FramePlan, note: str,
+             nonce_reg: str = "rax") -> None:
         """Shared tail: pack plaintext/key into xmm and encrypt.
 
         Precondition: ``nonce_reg`` holds the 64-bit nonce.  The epilogue
         uses ``r11`` so the function's return value in ``rax`` survives.
         """
-        builder.emit("movq", Reg("xmm15"), Reg(nonce_reg), note=note)
-        builder.emit("movhps", Reg("xmm15"), Mem(base="rbp", disp=8), note=note)
-        builder.emit("movq", Reg("xmm1"), Reg("r13"), note=note)
-        builder.emit("punpckhdq", Reg("xmm1"), Reg("r12"), note=note)
-        builder.emit("call", Sym("AES_ENCRYPT_128"), note=note)
+        function.emit("movq", Reg("xmm15"), Reg(nonce_reg), note=note)
+        function.emit("movhps", Reg("xmm15"), Mem(base="rbp", disp=8), note=note)
+        function.emit("movq", Reg("xmm1"), Reg("r13"), note=note)
+        function.emit("punpckhdq", Reg("xmm1"), Reg("r12"), note=note)
+        function.emit("call", Sym("AES_ENCRYPT_128"), note=note)
 
-    def emit_prologue(self, builder, plan: FramePlan) -> None:
+    def emit_prologue(self, function, plan: FramePlan) -> None:
         if not plan.protected:
             return
         note = "pssp-owf-prologue"
-        builder.emit("rdtsc", note=note)
-        builder.emit("shl", Reg("rdx"), Imm(32), note=note)
-        builder.emit("or", Reg("rax"), Reg("rdx"), note=note)
-        builder.emit("mov", Mem(base="rbp", disp=-plan.owf_nonce_offset),
-                     Reg("rax"), note=note)
-        self._emit_mac(builder, plan, note)
-        builder.emit("movdqu", Mem(base="rbp", disp=-plan.owf_cipher_offset),
-                     Reg("xmm15"), note=note)
+        function.emit("rdtsc", note=note)
+        function.emit("shl", Reg("rdx"), Imm(32), note=note)
+        function.emit("or", Reg("rax"), Reg("rdx"), note=note)
+        function.emit("mov", Mem(base="rbp", disp=-plan.owf_nonce_offset),
+                      Reg("rax"), note=note)
+        self._mac(function, plan, note)
+        function.emit("movdqu", Mem(base="rbp", disp=-plan.owf_cipher_offset),
+                      Reg("xmm15"), note=note)
 
-    def emit_epilogue_check(self, builder, plan: FramePlan) -> None:
+    def emit_epilogue_check(self, function, plan: FramePlan) -> None:
         if not plan.protected:
             return
         note = "pssp-owf-epilogue"
-        ok = builder.fresh("owf_ok")
-        builder.emit("mov", Reg("r11"),
-                     Mem(base="rbp", disp=-plan.owf_nonce_offset), note=note)
-        self._emit_mac(builder, plan, note, nonce_reg="r11")
-        builder.emit("comiss", Reg("xmm15"),
-                     Mem(base="rbp", disp=-plan.owf_cipher_offset), note=note)
-        builder.emit("je", Label(ok), note=note)
-        builder.emit("call", Sym("__stack_chk_fail"), note=note)
-        builder.label(ok)
+        ok = function.fresh_label("owf_ok")
+        function.emit("mov", Reg("r11"),
+                      Mem(base="rbp", disp=-plan.owf_nonce_offset), note=note)
+        self._mac(function, plan, note, nonce_reg="r11")
+        function.emit("comiss", Reg("xmm15"),
+                      Mem(base="rbp", disp=-plan.owf_cipher_offset), note=note)
+        function.emit("je", Label(ok), note=note)
+        function.emit("call", Sym("__stack_chk_fail"), note=note)
+        function.label_here(ok)
 
     def runtime(self):
         from ...core.schemes import OWFRuntime

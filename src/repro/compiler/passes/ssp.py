@@ -21,23 +21,23 @@ class SSPPass(ProtectionPass):
     def canary_bytes(self, decl) -> int:
         return 8
 
-    def emit_prologue(self, builder, plan: FramePlan) -> None:
+    def emit_prologue(self, function, plan: FramePlan) -> None:
         if not plan.protected:
             return
-        builder.emit("mov", Reg("rax"), Mem(seg="fs", disp=CANARY_OFFSET),
-                     note="ssp-prologue")
-        builder.emit("mov", Mem(base="rbp", disp=-plan.canary_slots[0]), Reg("rax"),
-                     note="ssp-prologue")
-        builder.emit("xor", Reg("rax"), Reg("rax"), note="ssp-prologue")
+        function.emit("mov", Reg("rax"), Mem(seg="fs", disp=CANARY_OFFSET),
+                      note="ssp-prologue")
+        function.emit("mov", Mem(base="rbp", disp=-plan.canary_slots[0]), Reg("rax"),
+                      note="ssp-prologue")
+        function.emit("xor", Reg("rax"), Reg("rax"), note="ssp-prologue")
 
-    def emit_epilogue_check(self, builder, plan: FramePlan) -> None:
+    def emit_epilogue_check(self, function, plan: FramePlan) -> None:
         if not plan.protected:
             return
-        ok = builder.fresh("ssp_ok")
-        builder.emit("mov", Reg("rdx"), Mem(base="rbp", disp=-plan.canary_slots[0]),
-                     note="ssp-epilogue")
-        builder.emit("xor", Reg("rdx"), Mem(seg="fs", disp=CANARY_OFFSET),
-                     note="ssp-epilogue")
-        builder.emit("je", Label(ok), note="ssp-epilogue")
-        builder.emit("call", Sym("__stack_chk_fail"), note="ssp-epilogue")
-        builder.label(ok)
+        ok = function.fresh_label("ssp_ok")
+        function.emit("mov", Reg("rdx"), Mem(base="rbp", disp=-plan.canary_slots[0]),
+                      note="ssp-epilogue")
+        function.emit("xor", Reg("rdx"), Mem(seg="fs", disp=CANARY_OFFSET),
+                      note="ssp-epilogue")
+        function.emit("je", Label(ok), note="ssp-epilogue")
+        function.emit("call", Sym("__stack_chk_fail"), note="ssp-epilogue")
+        function.label_here(ok)

@@ -47,33 +47,33 @@ class TlsHalfPass(ProtectionPass):
     def canary_bytes(self, decl) -> int:
         return 8
 
-    def emit_prologue(self, builder, plan) -> None:
+    def emit_prologue(self, function, plan) -> None:
         if not plan.protected:
             return
         note = "tls-half-prologue"
         slot = plan.canary_slots[0]
         # C1 = C0 (TLS shadow) ^ C — only C1 goes on the stack.
-        builder.emit("mov", Reg("rax"), Mem(seg="fs", disp=SHADOW_C0_OFFSET),
-                     note=note)
-        builder.emit("xor", Reg("rax"), Mem(seg="fs", disp=CANARY_OFFSET),
-                     note=note)
-        builder.emit("mov", Mem(base="rbp", disp=-slot), Reg("rax"), note=note)
-        builder.emit("xor", Reg("rax"), Reg("rax"), note=note)
+        function.emit("mov", Reg("rax"), Mem(seg="fs", disp=SHADOW_C0_OFFSET),
+                      note=note)
+        function.emit("xor", Reg("rax"), Mem(seg="fs", disp=CANARY_OFFSET),
+                      note=note)
+        function.emit("mov", Mem(base="rbp", disp=-slot), Reg("rax"), note=note)
+        function.emit("xor", Reg("rax"), Reg("rax"), note=note)
 
-    def emit_epilogue_check(self, builder, plan) -> None:
+    def emit_epilogue_check(self, function, plan) -> None:
         if not plan.protected:
             return
         note = "tls-half-epilogue"
         slot = plan.canary_slots[0]
-        ok = builder.fresh("th_ok")
-        builder.emit("mov", Reg("rdx"), Mem(base="rbp", disp=-slot), note=note)
-        builder.emit("xor", Reg("rdx"), Mem(seg="fs", disp=SHADOW_C0_OFFSET),
-                     note=note)
-        builder.emit("xor", Reg("rdx"), Mem(seg="fs", disp=CANARY_OFFSET),
-                     note=note)
-        builder.emit("je", Label(ok), note=note)
-        builder.emit("call", Sym("__stack_chk_fail"), note=note)
-        builder.label(ok)
+        ok = function.fresh_label("th_ok")
+        function.emit("mov", Reg("rdx"), Mem(base="rbp", disp=-slot), note=note)
+        function.emit("xor", Reg("rdx"), Mem(seg="fs", disp=SHADOW_C0_OFFSET),
+                      note=note)
+        function.emit("xor", Reg("rdx"), Mem(seg="fs", disp=CANARY_OFFSET),
+                      note=note)
+        function.emit("je", Label(ok), note=note)
+        function.emit("call", Sym("__stack_chk_fail"), note=note)
+        function.label_here(ok)
 
 
 class TlsHalfRuntime(SchemeRuntime):
@@ -101,16 +101,16 @@ class NoNonceOWFPass(PSSPOWFPass):
 
     name = "pssp-owf-nononce"
 
-    def emit_prologue(self, builder, plan) -> None:
+    def emit_prologue(self, function, plan) -> None:
         if not plan.protected:
             return
         note = "owf-nononce-prologue"
-        builder.emit("mov", Reg("rax"), Imm(0), note=note)  # no rdtsc!
-        builder.emit("mov", Mem(base="rbp", disp=-plan.owf_nonce_offset),
-                     Reg("rax"), note=note)
-        self._emit_mac(builder, plan, note)
-        builder.emit("movdqu", Mem(base="rbp", disp=-plan.owf_cipher_offset),
-                     Reg("xmm15"), note=note)
+        function.emit("mov", Reg("rax"), Imm(0), note=note)  # no rdtsc!
+        function.emit("mov", Mem(base="rbp", disp=-plan.owf_nonce_offset),
+                      Reg("rax"), note=note)
+        self._mac(function, plan, note)
+        function.emit("movdqu", Mem(base="rbp", disp=-plan.owf_cipher_offset),
+                      Reg("xmm15"), note=note)
 
 
 def register_ablation_schemes() -> None:

@@ -82,19 +82,19 @@ def _install_prologue_slot_off_by_one() -> Callable[[], None]:
     """
     original = PSSPPass.emit_prologue
 
-    def buggy(self, builder, plan) -> None:
+    def buggy(self, function, plan) -> None:
         if not plan.protected:
             return
         c0_slot, c1_slot = plan.canary_slots[0], plan.canary_slots[1]
-        builder.emit("mov", Reg("rax"), Mem(seg="fs", disp=SHADOW_C0_OFFSET),
-                     note="pssp-prologue")
-        builder.emit("mov", Mem(base="rbp", disp=-(c0_slot + 1)), Reg("rax"),
-                     note="pssp-prologue")
-        builder.emit("mov", Reg("rax"), Mem(seg="fs", disp=SHADOW_C1_OFFSET),
-                     note="pssp-prologue")
-        builder.emit("mov", Mem(base="rbp", disp=-c1_slot), Reg("rax"),
-                     note="pssp-prologue")
-        builder.emit("xor", Reg("rax"), Reg("rax"), note="pssp-prologue")
+        function.emit("mov", Reg("rax"), Mem(seg="fs", disp=SHADOW_C0_OFFSET),
+                      note="pssp-prologue")
+        function.emit("mov", Mem(base="rbp", disp=-(c0_slot + 1)), Reg("rax"),
+                      note="pssp-prologue")
+        function.emit("mov", Reg("rax"), Mem(seg="fs", disp=SHADOW_C1_OFFSET),
+                      note="pssp-prologue")
+        function.emit("mov", Mem(base="rbp", disp=-c1_slot), Reg("rax"),
+                      note="pssp-prologue")
+        function.emit("xor", Reg("rax"), Reg("rax"), note="pssp-prologue")
 
     PSSPPass.emit_prologue = buggy
 
@@ -108,7 +108,7 @@ def _install_epilogue_check_skipped() -> Callable[[], None]:
     """P-SSP epilogue emits no check at all — protection silently off."""
     original = PSSPPass.emit_epilogue_check
 
-    def buggy(self, builder, plan) -> None:
+    def buggy(self, function, plan) -> None:
         return None
 
     PSSPPass.emit_epilogue_check = buggy

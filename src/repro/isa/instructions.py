@@ -141,10 +141,6 @@ class Instruction:
         if self.op not in ALL_OPS:
             raise ValueError(f"unknown mnemonic {self.op!r}")
 
-    def with_note(self, note: str) -> "Instruction":
-        """Return a copy tagged with a provenance note."""
-        return Instruction(self.op, self.operands, note)
-
     def __str__(self) -> str:
         if not self.operands:
             return self.op
@@ -189,14 +185,20 @@ class Function:
 
     def emit(self, op: str, *operands: Operand, note: str = "") -> None:
         """Append an instruction."""
-        self.body.append(ins(op, *operands, note=note))
+        self.body.append(Instruction(op, operands, note))
 
     def fresh_label(self, hint: str = "L") -> str:
-        """Return a label name unused in this function."""
+        """Reserve a label name unused in this function.
+
+        The name is entered at index -1 until :meth:`label_here` places
+        it, so a second ``fresh_label`` before then cannot collide.
+        """
         i = len(self.labels)
         while f".{hint}{i}" in self.labels:
             i += 1
-        return f".{hint}{i}"
+        name = f".{hint}{i}"
+        self.labels[name] = -1
+        return name
 
     def copy(self) -> "Function":
         """Shallow-ish copy: new body/label containers, shared instructions

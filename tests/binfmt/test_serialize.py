@@ -108,3 +108,23 @@ class TestValidation:
         document["version"] = 99
         with pytest.raises(LinkError):
             loads(json.dumps(document).encode())
+
+    @pytest.mark.parametrize("index", [-1, 10**6])
+    def test_label_index_outside_the_body_rejected(self, binary, index, tmp_path):
+        import json
+
+        document = json.loads(dumps(binary))
+        handler = next(f for f in document["functions"] if f["name"] == "handler")
+        handler["labels"][".Lret"] = index
+        data = json.dumps(document).encode()
+        with pytest.raises(LinkError, match=r"handler: label '\.Lret' at"):
+            loads(data)
+        path = tmp_path / "victim.relf"
+        path.write_bytes(data)
+        with pytest.raises(LinkError, match="outside"):
+            load_file(str(path))
+
+    def test_end_label_accepted(self, binary):
+        handler = binary.function("handler")
+        handler.labels[".end"] = len(handler.body)
+        assert loads(dumps(binary)).function("handler").labels[".end"] == len(handler.body)

@@ -1,6 +1,8 @@
 """MiniC lexer."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compiler.lexer import Token, TokenStream, tokenize
 from repro.errors import CompileError
@@ -38,6 +40,13 @@ class TestTokens:
             ("ident", "a"), ("op", "<="), ("ident", "b"), ("op", "<<"),
             ("ident", "c"), ("op", "=="), ("ident", "d"),
         ]
+
+    @pytest.mark.parametrize("operator", (
+        "<<= >>= == != <= >= && || << >> += -= *= /= %= &= |= ^= ++ -- "
+        "+ - * / % < > = ! & | ^ ~ ( ) { } [ ] ; ,"
+    ).split())
+    def test_every_operator_is_one_token(self, operator):
+        assert kinds(f"a{operator}b") == [("ident", "a"), ("op", operator), ("ident", "b")]
 
     def test_compound_assignment_tokens(self):
         assert [t.text for t in tokenize("x += 1")[:-1]] == ["x", "+=", "1"]
@@ -82,6 +91,47 @@ class TestErrors:
     def test_unknown_escape(self):
         with pytest.raises(CompileError):
             tokenize(r'"\q"')
+
+    @pytest.mark.parametrize("source, line", [
+        ("return 0x;", 1), ("a\n0xg", 2), ("0X", 1),
+    ])
+    def test_hex_prefix_without_digits(self, source, line):
+        with pytest.raises(CompileError, match="has no digits") as caught:
+            tokenize(source)
+        assert caught.value.line == line
+
+    @pytest.mark.parametrize("char", ["\u00b2", "\u0663", "\u00e9", "\u03bb"])
+    def test_non_ascii_outside_literals_is_unexpected(self, char):
+        with pytest.raises(CompileError, match="unexpected character"):
+            tokenize(f"x = 1{char};")
+        with pytest.raises(CompileError, match="unexpected character"):
+            tokenize(f"{char}x")
+
+    def test_non_ascii_inside_comments_and_literals(self):
+        tokens = tokenize('/* \u00e9 */ "\u00b2" // \u03bb\n')
+        assert [(t.kind, t.text) for t in tokens[:-1]] == [("string", "\u00b2")]
+
+    def test_identifiers_are_ascii(self):
+        assert kinds("a1_B") == [("ident", "a1_B")]
+        with pytest.raises(CompileError, match="unexpected character"):
+            tokenize("a\u00b2")
+
+    def test_decimal_literal_past_the_digit_limit(self):
+        with pytest.raises(CompileError, match="integer literal of 5000 digits"):
+            tokenize("1" * 5000)
+
+
+_MINIC_CHARS = st.sampled_from(list("0123456789xXabfg_ \t\n/*+-<>=!&|;(){}[]\"'\\$\u00b2\u00e9"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet=_MINIC_CHARS)))
+def test_tokenize_raises_only_compile_error(source):
+    try:
+        tokens = tokenize(source)
+    except CompileError:
+        return
+    assert tokens[-1].kind == "eof"
 
 
 class TestTokenStream:

@@ -52,13 +52,6 @@ class TestInstruction:
     def test_no_operand_printing(self):
         assert str(ins("ret")) == "ret"
 
-    def test_with_note_preserves_content(self):
-        instruction = ins("mov", Reg("rax"), Imm(1))
-        tagged = instruction.with_note("ssp-prologue")
-        assert tagged.op == instruction.op
-        assert tagged.operands == instruction.operands
-        assert tagged.note == "ssp-prologue"
-
     def test_instructions_are_hashable_values(self):
         a = ins("xor", Reg("rax"), Reg("rax"))
         b = ins("xor", Reg("rax"), Reg("rax"))
@@ -87,6 +80,23 @@ class TestFunction:
             function.labels[name] = 0
             names.add(name)
         assert len(names) == 5
+
+    def test_fresh_labels_taken_before_placement_do_not_collide(self):
+        function = Function("f")
+        first = function.fresh_label("x")
+        second = function.fresh_label("x")
+        assert first != second
+        function.emit("nop")
+        function.label_here(second)
+        function.label_here(first)
+        assert function.labels == {first: 1, second: 1}
+
+    def test_emit_checks_the_mnemonic(self):
+        function = Function("f")
+        function.emit("mov", Reg("rax"), Imm(1), note="n")
+        assert function.body == [ins("mov", Reg("rax"), Imm(1), note="n")]
+        with pytest.raises(ValueError):
+            function.emit("bogus")
 
     def test_copy_independent(self):
         function = Function("f")
