@@ -65,6 +65,18 @@ CHAOS_CYCLE_LIMIT = FUZZ_CYCLE_LIMIT
 #: Events that legitimise a fallback canary or a repeated fresh value.
 _DEGRADED_EVENT_KINDS = frozenset({"rdrand-exhausted", "entropy-degraded"})
 
+_CASES = telemetry.counter("chaos_cases_total", "chaos cases completed")
+#: One counter per classified outcome (see :class:`ChaosRun`).
+_OUTCOMES = {
+    outcome: telemetry.counter(
+        f"chaos_outcome_{outcome}_total", "chaos cases by outcome"
+    )
+    for outcome in ("identical", "detected", "degraded", "divergence")
+}
+_VIOLATIONS = telemetry.counter(
+    "chaos_violations_total", "chaos invariant violations"
+)
+
 
 class CanaryAuditor:
     """Watch canary stores through the CPU's canary-store watch.
@@ -463,16 +475,10 @@ def _chaos_unit(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
         except CampaignError as error:
             last_error = str(error)
             continue
-        telemetry.count("chaos_cases_total", help="chaos cases completed")
-        telemetry.count(
-            f"chaos_outcome_{run.outcome.replace('-', '_')}_total",
-            help="chaos cases by outcome",
-        )
+        _CASES.inc()
+        _OUTCOMES[run.outcome].inc()
         if not run.ok:
-            telemetry.count(
-                "chaos_violations_total", len(run.violations),
-                help="chaos invariant violations",
-            )
+            _VIOLATIONS.inc(len(run.violations))
         return {"kind": "run", "run": run.to_json(), "detail": ""}
     return {"kind": "infra", "run": None, "detail": last_error}
 

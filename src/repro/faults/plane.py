@@ -30,6 +30,17 @@ from .schedule import FaultSchedule
 
 _WORD_MASK = (1 << 64) - 1
 
+_DELIVERED = telemetry.counter(
+    "faults_delivered_total", "scheduled faults actually injected"
+)
+_ABSORBED = telemetry.counter(
+    "faults_absorbed_total", "faults retried away with behaviour unchanged"
+)
+_DEGRADATION_EVENTS = telemetry.counter(
+    "fault_degradation_events_total",
+    "explicit degradation events on the plane ledger",
+)
+
 
 @dataclass
 class DegradationEvent:
@@ -58,23 +69,15 @@ class FaultPlane:
 
     def record_delivered(self, kind: str, detail: str = "") -> None:
         self.delivered.append((kind, detail))
-        telemetry.count(
-            "faults_delivered_total", help="scheduled faults actually injected"
-        )
+        _DELIVERED.inc()
 
     def record_absorbed(self, kind: str, detail: str = "") -> None:
         self.absorbed.append((kind, detail))
-        telemetry.count(
-            "faults_absorbed_total",
-            help="faults retried away with behaviour unchanged",
-        )
+        _ABSORBED.inc()
 
     def record_event(self, kind: str, detail: str = "") -> None:
         self.events.append(DegradationEvent(kind, detail))
-        telemetry.count(
-            "fault_degradation_events_total",
-            help="explicit degradation events on the plane ledger",
-        )
+        _DEGRADATION_EVENTS.inc()
 
     def event_kinds(self) -> "set[str]":
         return {event.kind for event in self.events}

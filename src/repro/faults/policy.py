@@ -17,6 +17,13 @@ from __future__ import annotations
 from .. import telemetry
 from ..errors import DegradedError, TransientForkFailure
 
+_DEGRADATIONS = telemetry.counter(
+    "degradations_total", "DegradedError fail-closed aborts"
+)
+_QUARANTINES = telemetry.counter(
+    "rdrand_quarantines_total", "devices quarantined by self-test"
+)
+
 #: Prologue/self-test budget: consecutive ``rdrand`` CF=0 results before
 #: the hardened NT prologue abandons per-call draws and falls back to the
 #: TLS shadow pair (with a ``nop`` pause between attempts, mirroring
@@ -90,7 +97,7 @@ def publish_shadow_pair(tls, c0: int, c1: int, *, plane=None) -> None:
             "shadow-publish-failed",
             f"pair still torn after {TLS_PUBLISH_ATTEMPTS} attempts",
         )
-    telemetry.count("degradations_total", help="DegradedError fail-closed aborts")
+    _DEGRADATIONS.inc()
     telemetry.event("degradation", reason="shadow-publish-failed")
     raise DegradedError(
         "shadow canary pair publish remained torn",
@@ -129,7 +136,7 @@ def fork_with_retry(parent):
         plane.record_event(
             "fork-exhausted", f"{FORK_RETRY_LIMIT} consecutive EAGAIN"
         )
-    telemetry.count("degradations_total", help="DegradedError fail-closed aborts")
+    _DEGRADATIONS.inc()
     telemetry.event("degradation", reason="fork-exhausted")
     raise DegradedError(
         f"fork still EAGAIN after {FORK_RETRY_LIMIT} attempts",
@@ -156,9 +163,7 @@ def rdrand_selftest(process) -> bool:
     healthy = len(distinct) >= SELFTEST_MIN_DISTINCT and failures <= SELFTEST_DRAWS // 2
     if not healthy:
         device.quarantined = True
-        telemetry.count(
-            "rdrand_quarantines_total", help="devices quarantined by self-test"
-        )
+        _QUARANTINES.inc()
         telemetry.event(
             "rdrand-quarantine",
             distinct=len(distinct),

@@ -82,7 +82,11 @@ AUDITED_COUNTERS: Tuple[str, ...] = (
 
 #: Campaign-level counter audited by ``run_fleet`` itself (shard retries
 #: are a parent-side decision, so it cannot be proven per slice).
-RETRY_COUNTER = "fleet_slices_retried_total"
+_SLICES_RETRIED = telemetry.counter(
+    "fleet_slices_retried_total",
+    "fleet slices re-queued after a lost shard worker",
+)
+RETRY_COUNTER = _SLICES_RETRIED.name
 
 
 class LatencyLedger:
@@ -1015,11 +1019,7 @@ def run_fleet(
         scheme_report.shard_attempts = result.shard_attempts
         scheme_report.slices_retried = result.retried
         if scheme_report.slices_retried:
-            telemetry.count(
-                RETRY_COUNTER,
-                delta=scheme_report.slices_retried,
-                help="fleet slices re-queued after a lost shard worker",
-            )
+            _SLICES_RETRIED.inc(scheme_report.slices_retried)
         if audit:
             got = _counter(telemetry.delta(before_scheme), RETRY_COUNTER)
             if got != scheme_report.slices_retried:

@@ -36,6 +36,21 @@ LATENCY_BUCKETS_CYCLES: Tuple[float, ...] = (
     200.0, 250.0, 350.0, 500.0, 1000.0,
 )
 
+_REQUESTS = telemetry.counter(
+    "fleet_requests_total", "fleet requests served (all sessions)"
+)
+_REQUEST_CRASHES = telemetry.counter(
+    "fleet_request_crashes_total",
+    "fleet workers that crashed serving a request",
+)
+_REQUEST_CYCLES = telemetry.histogram(
+    "fleet_request_cycles", LATENCY_BUCKETS_CYCLES,
+    "simulated cycles per served fleet request",
+)
+_WORKERS_FORKED = telemetry.counter(
+    "fleet_workers_forked_total", "fleet workers forked (one per connection)"
+)
+
 #: The fleet victim: the §VI-C forking-server handler (a read into a
 #: fixed frame) plus the leak-and-replay trio (a disclosure-prone
 #: function, an overflow target, and a hijack gadget), so one binary
@@ -185,10 +200,7 @@ class FleetServer:
         checkouts fork through the policy retry wrapper and tick this
         themselves, so the count only ever covers committed forks)."""
         self.workers_forked += 1
-        telemetry.count(
-            "fleet_workers_forked_total",
-            help="fleet workers forked (one per connection)",
-        )
+        _WORKERS_FORKED.inc()
         if self.tracer is not None:
             self.tracer.on_fork(child, self.kernel.fork_count)
 
@@ -209,19 +221,11 @@ class FleetServer:
     def _record(self, response: FleetResponse) -> None:
         self.requests_served += 1
         self.cycles += response.cycles
-        telemetry.count(
-            "fleet_requests_total", help="fleet requests served (all sessions)"
-        )
-        telemetry.observe(
-            "fleet_request_cycles", response.cycles, LATENCY_BUCKETS_CYCLES,
-            help="simulated cycles per served fleet request",
-        )
+        _REQUESTS.inc()
+        _REQUEST_CYCLES.observe(response.cycles)
         if response.crashed:
             self.crashes += 1
-            telemetry.count(
-                "fleet_request_crashes_total",
-                help="fleet workers that crashed serving a request",
-            )
+            _REQUEST_CRASHES.inc()
         if response.smashed:
             self.smashes_observed += 1
         if self.on_response is not None:

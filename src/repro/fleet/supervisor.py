@@ -63,6 +63,19 @@ BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half-open"
 
+_DEADLINE_REAPS = telemetry.counter(
+    "fleet_deadline_reaps_total",
+    "fleet workers reaped at the request cycle deadline",
+)
+_CRASH_LOOP_TRIPS = telemetry.counter(
+    "fleet_crash_loop_trips_total",
+    "crash-loop breaker trips across fleet slices",
+)
+_PARENT_RESTARTS = telemetry.counter(
+    "fleet_parent_restarts_total",
+    "fleet parents restarted from their boot image",
+)
+
 
 @dataclass(frozen=True)
 class SupervisorConfig:
@@ -124,10 +137,7 @@ class CrashLoopBreaker:
         self.remaining = window + self._rng.randrange(self._config.backoff_base)
         self.state = BREAKER_OPEN
         self.streak = 0
-        telemetry.count(
-            "fleet_crash_loop_trips_total",
-            help="crash-loop breaker trips across fleet slices",
-        )
+        _CRASH_LOOP_TRIPS.inc()
 
     def quarantines_next(self) -> bool:
         """Consume one admission decision; True = quarantine the request."""
@@ -260,10 +270,7 @@ class FleetSupervisor:
         kernel.reap(server.parent)
         restored = kernel.restore(self._boot_image)
         self.parent_restarts += 1
-        telemetry.count(
-            "fleet_parent_restarts_total",
-            help="fleet parents restarted from their boot image",
-        )
+        _PARENT_RESTARTS.inc()
         divergences = snapshot_divergences(
             architectural_snapshot(restored), self._boot_reference
         )
@@ -298,10 +305,7 @@ class FleetSupervisor:
         ):
             response.outcome = "deadline"
             self.deadline_reaps += 1
-            telemetry.count(
-                "fleet_deadline_reaps_total",
-                help="fleet workers reaped at the request cycle deadline",
-            )
+            _DEADLINE_REAPS.inc()
         if response.outcome == "quarantined":
             return
         if self._plane is not None and not in_attack_session:

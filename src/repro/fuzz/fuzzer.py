@@ -32,6 +32,14 @@ from .conformance import (
 #: its retry) rather than a violated contract clause.  The CLI maps
 #: "only these" to a distinct exit code.
 INFRA_FAILURE_KINDS = frozenset({"build-error", "native-crash", "worker-lost"})
+
+_PROGRAMS = telemetry.counter("fuzz_programs_total", "fuzz programs checked")
+_RUNS = telemetry.counter(
+    "fuzz_runs_total", "fuzz executions (fast+slow per scheme)"
+)
+_FAILURES = telemetry.counter(
+    "fuzz_failures_total", "conformance divergences found"
+)
 from .shrink import removed_features, shrink_spec
 
 
@@ -293,20 +301,14 @@ def _check_one(
         uses_setjmp=spec.uses_setjmp,
         cycle_limit=cycle_limit,
     )
-    telemetry.count("fuzz_programs_total", help="fuzz programs checked")
-    telemetry.count(
-        "fuzz_runs_total", 2 * len(selected),
-        help="fuzz executions (fast+slow per scheme)",
-    )
+    _PROGRAMS.inc()
+    _RUNS.inc(2 * len(selected))
     failure = None
     if failures:
         failure = FuzzFailure(seed, spec, source, failures)
         if shrink:
             _shrink_failure(failure, schemes, cycle_limit, max_shrink_checks)
-        telemetry.count(
-            "fuzz_failures_total", len(failures),
-            help="conformance divergences found",
-        )
+        _FAILURES.inc(len(failures))
     return SeedCheck(seed, spec, source, tuple(selected), tuple(gated), failure)
 
 

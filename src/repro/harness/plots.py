@@ -15,37 +15,6 @@ _BAR = "█"
 _HALF = "▌"
 
 
-def bar_chart(
-    series: Sequence[Tuple[str, float]],
-    *,
-    title: str = "",
-    width: int = 48,
-    unit: str = "",
-) -> str:
-    """Render one horizontal bar chart.
-
-    ``series`` is (label, value) pairs; values must be non-negative.
-    Bars scale to the maximum value; each row shows the numeric value.
-    """
-    if not series:
-        return title
-    label_width = max(len(label) for label, _ in series)
-    peak = max(value for _, value in series) or 1.0
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    for label, value in series:
-        cells = value / peak * width
-        filled = _BAR * int(cells)
-        if cells - int(cells) >= 0.5:
-            filled += _HALF
-        lines.append(
-            f"{label:<{label_width}s} |{filled:<{width}s}| "
-            f"{value:.3f}{unit}"
-        )
-    return "\n".join(lines)
-
-
 def grouped_bar_chart(
     groups: Dict[str, Sequence[Tuple[str, float]]],
     *,

@@ -41,6 +41,13 @@ from .process import Process
 _THREAD_STACK_STRIDE = 0x100000
 _THREAD_TLS_STRIDE = 0x1000
 
+_SPAWNS = telemetry.counter("kernel_spawns_total", "processes created (execve)")
+_IMAGE_SPAWNS = telemetry.counter(
+    "kernel_image_spawns_total", "processes booted from a warmed spawn image"
+)
+_FORKS = telemetry.counter("kernel_forks_total", "successful forks")
+_THREADS = telemetry.counter("kernel_threads_total", "threads created")
+
 
 class Kernel:
     """Owner of all simulated processes.
@@ -112,10 +119,7 @@ class Kernel:
         preloads = list(preloads)
         if image is not None and not aslr:
             memory, loaded = image.instantiate()
-            telemetry.count(
-                "kernel_image_spawns_total",
-                help="processes booted from a warmed spawn image",
-            )
+            _IMAGE_SPAWNS.inc()
             return self._finish_spawn(
                 binary, preloads, memory, loaded,
                 natives=natives, dbi_multiplier=dbi_multiplier,
@@ -178,7 +182,7 @@ class Kernel:
 
         # The dynamic loader draws the stack guard before anything runs.
         process.tls.canary = terminator_free_word(process.entropy)
-        telemetry.count("kernel_spawns_total", help="processes created (execve)")
+        _SPAWNS.inc()
 
         if run_constructors:
             for source in (*preloads, binary):
@@ -267,7 +271,7 @@ class Kernel:
             raise
         # Counted only after the hooks commit: the counter is monotonic,
         # so it must track forks that stayed registered (== fork_count).
-        telemetry.count("kernel_forks_total", help="successful forks")
+        _FORKS.inc()
         return child
 
     # -- threads -------------------------------------------------------------------
@@ -331,7 +335,7 @@ class Kernel:
         except Exception:
             process.threads.pop()
             raise
-        telemetry.count("kernel_threads_total", help="threads created")
+        _THREADS.inc()
         return thread
 
     # -- snapshot/restore ---------------------------------------------------------

@@ -35,6 +35,11 @@ RUNNING = "running"
 EXITED = "exited"
 CRASHED = "crashed"
 
+_RUNS = telemetry.counter("process_runs_total", "process entry invocations")
+_CRASHES = telemetry.counter(
+    "process_crashes_total", "runs ended by a machine fault"
+)
+
 
 @dataclass
 class ProcessResult:
@@ -167,7 +172,7 @@ class Process:
         self.state = RUNNING
         start_cycles = self.cpu.cycles
         start_instructions = self.cpu.instructions_executed
-        telemetry.count("process_runs_total", help="process entry invocations")
+        _RUNS.inc()
         try:
             status = self.cpu.call_function(target, args)
             self.state = EXITED
@@ -175,9 +180,7 @@ class Process:
         except MachineFault as fault:
             self.state = CRASHED
             self.crash = fault
-            telemetry.count(
-                "process_crashes_total", help="runs ended by a machine fault"
-            )
+            _CRASHES.inc()
         return ProcessResult(
             self.state,
             self.exit_status,
@@ -206,7 +209,7 @@ class Process:
         self.state = RUNNING
         start_cycles = self.cpu.cycles
         start_instructions = self.cpu.instructions_executed
-        telemetry.count("process_runs_total", help="process entry invocations")
+        _RUNS.inc()
         try:
             self.cpu._run_loop()
             self.state = EXITED
@@ -214,9 +217,7 @@ class Process:
         except MachineFault as fault:
             self.state = CRASHED
             self.crash = fault
-            telemetry.count(
-                "process_crashes_total", help="runs ended by a machine fault"
-            )
+            _CRASHES.inc()
         return ProcessResult(
             self.state,
             self.exit_status,

@@ -27,6 +27,10 @@ from ..machine.cpu import CPU, NativeFunction
 #: Cycles charged per 8 copied/scanned bytes in bulk routines.
 _BULK_COST_PER_WORD = 1
 
+_SMASHES_DETECTED = telemetry.counter(
+    "canary_smashes_detected_total", "__stack_chk_fail firings"
+)
+
 
 def _args(cpu: CPU, count: int) -> List[int]:
     return [cpu.registers.read(reg) for reg in ARG_REGS[:count]]
@@ -451,18 +455,14 @@ def _longjmp(cpu: CPU) -> int:
 
 def _stack_chk_fail(cpu: CPU) -> int:
     name, _ = cpu.registers.rip
-    telemetry.count(
-        "canary_smashes_detected_total", help="__stack_chk_fail firings"
-    )
+    _SMASHES_DETECTED.inc()
     telemetry.event("smash-detected", function=name)
     raise StackSmashDetected(function=name)
 
 
 def _fortify_fail(cpu: CPU) -> int:
     name, _ = cpu.registers.rip
-    telemetry.count(
-        "canary_smashes_detected_total", help="__stack_chk_fail firings"
-    )
+    _SMASHES_DETECTED.inc()
     telemetry.event("smash-detected", function=name, detail="fortify_fail")
     raise StackSmashDetected(function=name, detail="fortify_fail")
 

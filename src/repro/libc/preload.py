@@ -34,6 +34,13 @@ SO_NAME = "libpoly_canary.so"
 SO_SIZE_BYTES = 16 * 1024
 SO_SOURCE_LINES = 358
 
+_SHADOW_REFRESHES = telemetry.counter(
+    "shadow_refreshes_total", "TLS shadow pair publishes"
+)
+_FORK_RERANDOMIZATIONS = telemetry.counter(
+    "fork_rerandomizations_total", "child shadow pairs refreshed after fork"
+)
+
 
 class PSSPPreload:
     """Runtime support for P-SSP (basic scheme)."""
@@ -62,9 +69,7 @@ class PSSPPreload:
         fault_policy.publish_shadow_pair(
             tls, c0, c1, plane=getattr(process, "fault_plane", None)
         )
-        telemetry.count(
-            "shadow_refreshes_total", help="TLS shadow pair publishes"
-        )
+        _SHADOW_REFRESHES.inc()
         telemetry.event("shadow-refresh", pid=process.pid, mode=self.mode)
 
     def on_fork(self, child: Process, parent: Process) -> None:
@@ -74,10 +79,7 @@ class PSSPPreload:
         child inherited from the parent still verify — no consistency
         walk needed (contrast DynaGuard/DCR).
         """
-        telemetry.count(
-            "fork_rerandomizations_total",
-            help="child shadow pairs refreshed after fork",
-        )
+        _FORK_RERANDOMIZATIONS.inc()
         telemetry.event(
             "fork-rerandomize", child=child.pid, parent=parent.pid
         )

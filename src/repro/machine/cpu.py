@@ -43,6 +43,31 @@ WORD_MASK = (1 << 64) - 1
 XMM_MASK = (1 << 128) - 1
 SIGN_BIT = 1 << 63
 
+#: Batched run-loop totals, recorded once per ``CPU._run_loop`` return.
+_INSTRUCTIONS = telemetry.counter(
+    "machine_instructions_total", "instructions retired (both paths)"
+)
+_CYCLES = telemetry.counter(
+    "machine_cycles_total", "simulated cycles charged (DBI-scaled)"
+)
+_RUN_LOOPS = telemetry.counter(
+    "machine_run_loops_total", "run-loop entries (calls, resumes)"
+)
+_RUN_CYCLES = telemetry.histogram(
+    "machine_run_cycles", (1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9),
+    "simulated cycles per run-loop entry",
+)
+_JIT_ENTRIES = telemetry.counter(
+    "jit_block_entries_total", "superblock executions (JIT tier)"
+)
+_JIT_SIDE_EXITS = telemetry.counter(
+    "jit_side_exits_total", "superblock side-exits into the generic step loop"
+)
+_JIT_INVALIDATIONS = telemetry.counter(
+    "jit_invalidations_total",
+    "compiled superblocks dropped by explicit flushes",
+)
+
 
 def _signed(value: int) -> int:
     """Interpret a 64-bit unsigned word as signed."""
@@ -369,10 +394,13 @@ class CPU:
             else:
                 self._run_loop_slow()
         finally:
-            telemetry.machine_flush(
-                self.cycles - start_cycles,
-                self.instructions_executed - start_instructions,
-            )
+            # The exact deltas the loop already computed, so telemetry-on
+            # and telemetry-off runs report identical cycles.
+            cycles = self.cycles - start_cycles
+            _INSTRUCTIONS.inc(self.instructions_executed - start_instructions)
+            _CYCLES.inc(cycles)
+            _RUN_LOOPS.inc()
+            _RUN_CYCLES.observe(cycles)
 
     def _canary_sites(self, function: Function) -> Dict[int, CanarySite]:
         """``function``'s canary-site table, cached by name and identity."""
@@ -457,10 +485,7 @@ class CPU:
             if decoded.jit_counts:
                 decoded.jit_counts.clear()
         if dropped:
-            telemetry.count(
-                "jit_invalidations_total", delta=dropped,
-                help="compiled superblocks dropped by explicit flushes",
-            )
+            _JIT_INVALIDATIONS.inc(dropped)
 
     def _decoded(self, function: Function) -> DecodedView:
         """This CPU's view of ``function``'s shared step list.
@@ -664,7 +689,8 @@ class CPU:
             if profiler is not None:
                 profiler.close(cycle_total)
             if jit_entries:
-                telemetry.jit_flush(jit_entries, jit_exits)
+                _JIT_ENTRIES.inc(jit_entries)
+                _JIT_SIDE_EXITS.inc(jit_exits)
 
     # ------------------------------------------------------------------
     # instruction semantics

@@ -1,204 +1,17 @@
-"""Debugging and introspection tools for simulated processes.
+"""Architectural snapshots of simulated processes.
 
-These are the simulator's gdb: breakpoints, watchpoints, stack walking,
-and frame inspection.  The attack experiments use the same facilities to
-model memory-disclosure bugs; tests use them to assert on live frames.
-
-All tools attach through the CPU's single trace hook and can be stacked
-(each wraps the previous hook).
+:func:`architectural_snapshot` is every observable the interpreter
+tiers must agree on; :func:`snapshot_digest` hashes it for post-mortem
+bundles, and :func:`snapshot_divergences` names the fields where two
+snapshots differ.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List
 
-from ..isa.instructions import Instruction
 from ..kernel.process import Process
-
-
-@dataclass
-class Frame:
-    """One reconstructed stack frame."""
-
-    function: str
-    rbp: int
-    return_address: int
-    #: Name of the function the return address points into ('' if unknown).
-    caller: str = ""
-
-
-def backtrace(process: Process, max_frames: int = 64) -> List[Frame]:
-    """Walk the saved-rbp chain and reconstruct the call stack.
-
-    Works mid-execution (e.g. from a breakpoint): frame 0 is the current
-    function.  Stops at the first frame whose saved rbp leaves the stack
-    segment — the sentinel frame set up at process start.
-    """
-    frames: List[Frame] = []
-    stack = process.memory.segment("stack")
-    rbp = process.registers.read("rbp")
-    name, _ = process.registers.rip
-    for _ in range(max_frames):
-        if not (stack.base <= rbp < stack.end - 8):
-            break
-        return_address = process.memory.read_word(rbp + 8)
-        caller = ""
-        try:
-            caller_fn, _ = process.image.resolve(return_address)
-            caller = caller_fn.name
-        except Exception:
-            pass
-        frames.append(Frame(name, rbp, return_address, caller))
-        rbp = process.memory.read_word(rbp)
-        name = caller or "?"
-        if not caller:
-            break
-    return frames
-
-
-@dataclass
-class FrameView:
-    """A snapshot of one function's frame contents."""
-
-    function: str
-    rbp: int
-    frame_size: int
-    words: Dict[int, int]  # rbp-relative offset (positive = below) → value
-    canary_slots: List[int]
-
-    def canaries(self) -> Dict[int, int]:
-        """The canary words (offset → value)."""
-        return {slot: self.words[slot] for slot in self.canary_slots
-                if slot in self.words}
-
-
-def inspect_frame(process: Process, *, function: Optional[str] = None) -> FrameView:
-    """Snapshot the current (or named, if on top) function's frame."""
-    name, _ = process.registers.rip
-    if function is not None and function != name:
-        raise ValueError(f"current frame belongs to {name!r}, not {function!r}")
-    fn = process.image.function(name)
-    rbp = process.registers.read("rbp")
-    size = fn.frame_size if fn is not None else 64
-    words = {}
-    for offset in range(8, size + 8, 8):
-        try:
-            words[offset] = process.memory.read_word(rbp - offset)
-        except Exception:
-            break
-    slots = list(fn.meta.get("canary_slots", [])) if fn is not None else []
-    return FrameView(name, rbp, size, words, slots)
-
-
-class Debugger:
-    """Breakpoints and watchpoints over one process.
-
-    Usage::
-
-        dbg = Debugger(process)
-        dbg.break_at("handler")                  # function entry
-        dbg.watch_word(address)                  # break on change
-        dbg.on_break = lambda hit: print(hit)
-        process.call("handler", (n,))
-        dbg.detach()
-
-    Execution is synchronous: the callback runs inline at the break
-    instant with the process paused mid-instruction-stream; it may read
-    registers/memory freely.  (It must not re-enter the CPU.)
-    """
-
-    def __init__(self, process: Process) -> None:
-        self.process = process
-        self._breakpoints: Dict[Tuple[str, int], str] = {}
-        self._watches: Dict[int, Optional[int]] = {}
-        #: Callback invoked with a human-readable hit description.
-        self.on_break: Optional[Callable[[str], None]] = None
-        #: Chronological hit log (always recorded).
-        self.hits: List[str] = []
-        self._previous_trace = process.cpu.trace
-        process.cpu.trace = self._trace
-
-    # -- configuration ---------------------------------------------------------
-
-    def break_at(self, function: str, index: int = 0, label: str = "") -> None:
-        """Break when ``function``'s instruction ``index`` is about to run."""
-        self._breakpoints[(function, index)] = label or f"{function}+{index}"
-
-    def watch_word(self, address: int, label: str = "") -> None:
-        """Break when the 64-bit word at ``address`` changes."""
-        try:
-            current = self.process.memory.read_word(address)
-        except Exception:
-            current = None
-        self._watches[address] = current
-        if label:
-            self._watch_labels = getattr(self, "_watch_labels", {})
-            self._watch_labels[address] = label
-
-    def detach(self) -> None:
-        """Restore the previous trace hook."""
-        self.process.cpu.trace = self._previous_trace
-
-    # -- machinery ----------------------------------------------------------------
-
-    def _fire(self, description: str) -> None:
-        self.hits.append(description)
-        if self.on_break is not None:
-            self.on_break(description)
-
-    def _trace(self, name: str, index: int, instruction: Instruction) -> None:
-        if self._previous_trace is not None:
-            self._previous_trace(name, index, instruction)
-        key = (name, index)
-        if key in self._breakpoints:
-            self._fire(f"breakpoint {self._breakpoints[key]}")
-        for address, old in list(self._watches.items()):
-            try:
-                new = self.process.memory.read_word(address)
-            except Exception:
-                continue
-            if new != old:
-                self._watches[address] = new
-                labels = getattr(self, "_watch_labels", {})
-                what = labels.get(address, f"{address:#x}")
-                old_text = "?" if old is None else f"{old:#x}"
-                self._fire(
-                    f"watch {what}: {old_text} -> {new:#x} at {name}+{index}"
-                )
-
-
-def canary_watch(process: Process, function: str) -> Debugger:
-    """Convenience: watch every canary slot of ``function``'s next frame.
-
-    Arms a breakpoint at the function entry that plants watchpoints on the
-    canary slots once rbp is established (index of the first post-frame
-    instruction), so overflow experiments can pinpoint the exact write
-    that kills a canary.
-    """
-    fn = process.image.function(function)
-    if fn is None:
-        raise ValueError(f"no function {function!r}")
-    slots = list(fn.meta.get("canary_slots", []))
-    debugger = Debugger(process)
-
-    original_trace = debugger._trace
-
-    armed = {"done": False}
-
-    def trace(name: str, index: int, instruction: Instruction) -> None:
-        original_trace(name, index, instruction)
-        if name == function and not armed["done"] and instruction.note not in (
-            "frame", "spill"
-        ):
-            rbp = process.registers.read("rbp")
-            for slot in slots:
-                debugger.watch_word(rbp - slot, label=f"{function}[rbp-{slot}]")
-            armed["done"] = True
-
-    process.cpu.trace = trace
-    return debugger
 
 
 def architectural_snapshot(process: Process) -> Dict[str, object]:

@@ -21,6 +21,14 @@ from ..crypto.random import EntropySource
 
 _WORD_MASK = (1 << 64) - 1
 
+_DRAWS = telemetry.counter("rdrand_draws_total", "successful rdrand draws (CF=1)")
+_FAILURES = telemetry.counter(
+    "rdrand_failures_total", "rdrand CF=0 results (all causes)"
+)
+_RECOVERED_STREAKS = telemetry.counter(
+    "rdrand_recovered_streaks_total", "CF=0 streaks ended by a successful read"
+)
+
 
 class TimeStampCounter:
     """A 64-bit counter advanced by executed cycles.
@@ -89,9 +97,7 @@ class RdRandDevice:
         self.failure_streak += 1
         if self.plane is not None:
             self.plane.note_rdrand_failure(kind, self.failure_streak)
-        telemetry.count(
-            "rdrand_failures_total", help="rdrand CF=0 results (all causes)"
-        )
+        _FAILURES.inc()
         telemetry.event("rdrand-retry", cause=kind, streak=self.failure_streak)
         return 0, False
 
@@ -100,10 +106,7 @@ class RdRandDevice:
             self.recovered_streaks += 1
             if self.plane is not None:
                 self.plane.note_rdrand_recovered(self.failure_streak)
-            telemetry.count(
-                "rdrand_recovered_streaks_total",
-                help="CF=0 streaks ended by a successful read",
-            )
+            _RECOVERED_STREAKS.inc()
             self.failure_streak = 0
 
     def read(self) -> "tuple[int, bool]":
@@ -119,19 +122,13 @@ class RdRandDevice:
             # Stuck DRBG: CF=1, schedule-supplied output, no entropy drawn.
             self._end_streak()
             self.draws += 1
-            telemetry.count(
-                "rdrand_draws_total", help="successful rdrand draws (CF=1)"
-            )
+            _DRAWS.inc()
             return verdict[1] & _WORD_MASK, True
         if self.failure_rate and self.entropy.randrange(10**6) < self.failure_rate * 10**6:
-            telemetry.count(
-                "rdrand_failures_total", help="rdrand CF=0 results (all causes)"
-            )
+            _FAILURES.inc()
             return 0, False
         self._end_streak()
         self.draws += 1
-        telemetry.count(
-            "rdrand_draws_total", help="successful rdrand draws (CF=1)"
-        )
+        _DRAWS.inc()
         telemetry.sampled_event("rdrand-draw", draw=self.draws)
         return self.entropy.word(64), True

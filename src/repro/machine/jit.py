@@ -94,6 +94,22 @@ _FACTORIES: "OrderedDict[str, Callable]" = OrderedDict()
 
 _ATOM = re.compile(r"^(?:-?\d+|t\d+)$")
 
+_BLOCKS_COMPILED = telemetry.counter(
+    "jit_blocks_compiled_total", "superblocks compiled from hot dispatch points"
+)
+_BLOCKS_REJECTED = telemetry.counter(
+    "jit_blocks_rejected_total",
+    "superblock candidates rejected (too short / non-integral)",
+)
+_FLAGS_ELIDED = telemetry.counter(
+    "jit_peephole_flags_elided_total",
+    "redundant flag stores removed by the peephole pass",
+)
+_READS_FORWARDED = telemetry.counter(
+    "jit_peephole_reads_forwarded_total",
+    "register reads forwarded from prior writes",
+)
+
 
 def _jmp_target(function, instruction) -> Optional[int]:
     """Resolved index of an unconditional direct ``jmp label``, else None."""
@@ -672,20 +688,14 @@ def compile_superblock(cpu, decoded: DecodedView, anchor: int):
         picked_set.add(k)
         k += 1
     if len(picked) < MIN_STEPS:
-        telemetry.count(
-            "jit_blocks_rejected_total",
-            help="superblock candidates rejected (too short / non-integral)",
-        )
+        _BLOCKS_REJECTED.inc()
         return None
     for index in picked:
         cycles = steps[index][1]
         if cycles != int(cycles):
             # Non-integral (DBI-scaled) step costs: batched float sums
             # would drift off the sequential fold by ULPs.  Reject.
-            telemetry.count(
-                "jit_blocks_rejected_total",
-                help="superblock candidates rejected (too short / non-integral)",
-            )
+            _BLOCKS_REJECTED.inc()
             return None
 
     sb = Superblock()
@@ -728,20 +738,11 @@ def compile_superblock(cpu, decoded: DecodedView, anchor: int):
     sb.source = _assemble(low)
     sb.run = _bind(cpu, low, sb)
 
-    telemetry.count(
-        "jit_blocks_compiled_total",
-        help="superblocks compiled from hot dispatch points",
-    )
+    _BLOCKS_COMPILED.inc()
     if elided:
-        telemetry.count(
-            "jit_peephole_flags_elided_total", delta=elided,
-            help="redundant flag stores removed by the peephole pass",
-        )
+        _FLAGS_ELIDED.inc(elided)
     if low.forwarded:
-        telemetry.count(
-            "jit_peephole_reads_forwarded_total", delta=low.forwarded,
-            help="register reads forwarded from prior writes",
-        )
+        _READS_FORWARDED.inc(low.forwarded)
     return sb
 
 

@@ -82,6 +82,19 @@ _ZERO_PAGE = bytes(PAGE)
 #: false for every addr when base > limit.
 _EMPTY_LANE = (1, 0, bytearray())
 
+_PAGE_FAULTS = telemetry.counter(
+    "memory_page_faults_total",
+    "COW write faults (private page copies materialised)",
+)
+_PAGES_FROZEN = telemetry.counter(
+    "memory_pages_frozen_total",
+    "private pages frozen for sharing at clone/snapshot",
+)
+_PAGES_SHARED = telemetry.counter(
+    "memory_pages_shared_total",
+    "pages shared (not copied) across segment clones",
+)
+
 
 class Segment:
     """One contiguous mapped region, stored as COW pages.
@@ -180,10 +193,7 @@ class Segment:
         # exists, the original source page otherwise).
         page = bytearray(self._source[index] if page is None else page)
         self._private[index] = page
-        telemetry.count(
-            "memory_page_faults_total",
-            help="COW write faults (private page copies materialised)",
-        )
+        _PAGE_FAULTS.inc()
         return page
 
     def freeze(self) -> None:
@@ -200,10 +210,7 @@ class Segment:
                 self._private[index] = bytes(page)
                 frozen += 1
         if frozen:
-            telemetry.count(
-                "memory_pages_frozen_total",
-                help="private pages frozen for sharing at clone/snapshot",
-            )
+            _PAGES_FROZEN.inc(frozen)
 
     # -- whole-segment views -----------------------------------------------
 
@@ -276,11 +283,7 @@ class Segment:
         twin.executable = self.executable
         twin._source = self._source
         twin._private = dict(self._private)
-        telemetry.count(
-            "memory_pages_shared_total",
-            delta=self.page_count,
-            help="pages shared (not copied) across segment clones",
-        )
+        _PAGES_SHARED.inc(self.page_count)
         return twin
 
     def clone_eager(self) -> "Segment":

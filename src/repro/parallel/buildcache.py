@@ -42,6 +42,12 @@ TOOLCHAIN_VERSION = 1
 #: Default LRU bound (entries, not bytes: images are small ASTs).
 DEFAULT_MAX_ENTRIES = 256
 
+_HITS = telemetry.counter("build_cache_hits_total", "build cache hits")
+_MISSES = telemetry.counter("build_cache_misses_total", "build cache misses")
+_EVICTIONS = telemetry.counter(
+    "build_cache_evictions_total", "build cache LRU evictions"
+)
+
 
 def toolchain_fingerprint(spec) -> str:
     """Stable digest of everything in a scheme spec that shapes the image.
@@ -102,20 +108,16 @@ class BuildCache:
         if cached is not None:
             self._entries.move_to_end(key)
             self.hits += 1
-            telemetry.count(
-                "build_cache_hits_total", help="build cache hits"
-            )
+            _HITS.inc()
             return cached.clone()
         self.misses += 1
-        telemetry.count("build_cache_misses_total", help="build cache misses")
+        _MISSES.inc()
         binary = builder()
         self._entries[key] = binary.clone()
         if len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.evictions += 1
-            telemetry.count(
-                "build_cache_evictions_total", help="build cache LRU evictions"
-            )
+            _EVICTIONS.inc()
         return binary
 
     # -- maintenance -----------------------------------------------------

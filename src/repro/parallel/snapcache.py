@@ -74,6 +74,20 @@ _DIR_ENV = "REPRO_SNAPSHOT_DIR"
 #: Disk-tier file suffix (one image per key).
 IMAGE_SUFFIX = ".simg"
 
+_HITS = telemetry.counter("snapshot_cache_hits_total", "spawn-image cache hits")
+_MISSES = telemetry.counter(
+    "snapshot_cache_misses_total", "spawn-image cache misses"
+)
+_EVICTIONS = telemetry.counter(
+    "snapshot_cache_evictions_total", "spawn-image cache LRU evictions"
+)
+_DISK_HITS = telemetry.counter(
+    "snapshot_cache_disk_hits_total", "spawn images served from the disk tier"
+)
+_DISK_STORES = telemetry.counter(
+    "snapshot_cache_disk_stores_total", "spawn images persisted to the disk tier"
+)
+
 
 def _layout_order(binary) -> Tuple[list, list, list]:
     """The declaration orders the loader lays ``binary`` out in."""
@@ -186,9 +200,7 @@ class SnapshotCache:
         if cached is not None:
             self._entries.move_to_end(key)
             self.hits += 1
-            telemetry.count(
-                "snapshot_cache_hits_total", help="spawn-image cache hits"
-            )
+            _HITS.inc()
             return cached
         # Key and image hold private clones: the caller may mutate its
         # binary or preloads after this returns.
@@ -202,9 +214,7 @@ class SnapshotCache:
             image = self._load_from_disk(content_key, spec)
         if image is None:
             self.misses += 1
-            telemetry.count(
-                "snapshot_cache_misses_total", help="spawn-image cache misses"
-            )
+            _MISSES.inc()
             image = prepare_spawn_image(
                 key.binary, preloads=key.preloads, stack_size=stack_size
             )
@@ -214,10 +224,7 @@ class SnapshotCache:
         if len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.evictions += 1
-            telemetry.count(
-                "snapshot_cache_evictions_total",
-                help="spawn-image cache LRU evictions",
-            )
+            _EVICTIONS.inc()
         return image
 
     # -- disk tier -------------------------------------------------------
@@ -240,10 +247,7 @@ class SnapshotCache:
                         image.stack_size) != key:
             return None  # another deployment's image: also a miss
         self.disk_hits += 1
-        telemetry.count(
-            "snapshot_cache_disk_hits_total",
-            help="spawn images served from the disk tier",
-        )
+        _DISK_HITS.inc()
         return image
 
     def _store_to_disk(self, key: str, image: SpawnImage) -> None:
@@ -254,10 +258,7 @@ class SnapshotCache:
             # in-memory entry still serves this process.
             return
         self.disk_stores += 1
-        telemetry.count(
-            "snapshot_cache_disk_stores_total",
-            help="spawn images persisted to the disk tier",
-        )
+        _DISK_STORES.inc()
 
     # -- maintenance -----------------------------------------------------
 

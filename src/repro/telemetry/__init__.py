@@ -10,11 +10,16 @@ Public surface:
   sites (group leaders and audited C0 stores) every interpreter tier
   observes, and :func:`canary_probe` — the one probe they observe them
   with (:mod:`repro.telemetry.markers`).
-* Recording helpers (:func:`count`, :func:`observe`, :func:`event`,
-  :func:`machine_flush`) — every one is a no-op when telemetry is
-  disabled, and none is ever called per instruction on the fast path:
-  the CPU flushes batched totals at run boundaries and only canary-site
-  steps carry a wrapped probe.
+* Instrument declarations (:func:`counter`, :func:`histogram`) — each
+  instrument is declared once, as a module-level handle in the module
+  that records it, and recorded with ``handle.inc(delta)`` or
+  ``handle.observe(value)``.  The handle creates its registry
+  instrument on the first record made while telemetry is enabled.
+* Event helpers (:func:`event`, :func:`sampled_event`).  Every record
+  and event is a no-op when telemetry is disabled, and none is ever
+  made per instruction on the fast path: the CPU records batched
+  totals at run boundaries and only canary-site steps carry a wrapped
+  probe.
 
 The profiler lives in :mod:`repro.telemetry.profile`; it is imported
 lazily (by the CLI and tests) because it pulls in the harness layer,
@@ -49,14 +54,13 @@ __all__ = [
     "NOTE_GROUPS", "PROLOGUE_NOTES", "EPILOGUE_NOTES", "CanarySite",
     "canary_sites", "canary_probe",
     "registry", "ring", "enabled", "enable", "disable",
-    "reset", "snapshot", "delta", "absorb", "count", "observe", "event",
-    "sampled_event", "counter_value", "machine_flush", "jit_flush",
+    "reset", "snapshot", "delta", "absorb", "counter", "histogram",
+    "event", "sampled_event", "counter_value",
 ]
 
-#: Run-cycle histogram buckets (simulated cycles per run-loop entry).
-RUN_CYCLE_BUCKETS: Tuple[float, ...] = (
-    1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
-)
+#: Bound once: handles and the canary probe record into these.
+_REGISTRY = registry()
+_RING = ring()
 
 
 # ---------------------------------------------------------------------------
@@ -97,27 +101,8 @@ def absorb(worker_delta: "Snapshot | Dict[str, object]") -> None:
 
 
 # ---------------------------------------------------------------------------
-# cold-path recording helpers (kernel, devices, faults, libc, campaigns)
+# events and counter reads
 # ---------------------------------------------------------------------------
-
-def count(name: str, delta: float = 1, help: str = "") -> None:
-    """Increment a counter; no-op while telemetry is disabled."""
-    reg = registry()
-    if reg.enabled:
-        reg.counter(name, help).add(delta)
-
-
-def observe(
-    name: str,
-    value: float,
-    bounds: Tuple[float, ...] = DEFAULT_BUCKETS,
-    help: str = "",
-) -> None:
-    """Observe a histogram sample; no-op while telemetry is disabled."""
-    reg = registry()
-    if reg.enabled:
-        reg.histogram(name, bounds, help).observe(value)
-
 
 def event(kind: str, **fields: object) -> None:
     """Record a rare lifecycle event (unconditional when enabled)."""
@@ -142,106 +127,93 @@ def counter_value(name: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# machine hooks: batch-boundary flushes + the canary-site probe
+# instrument declarations
 # ---------------------------------------------------------------------------
 
-class _MachineCounters:
-    """Bound instrument references for the CPU's batch-boundary flush."""
+class _Handle:
+    """One declared instrument, bound to the registry on first use.
 
-    __slots__ = ("instructions", "cycles", "runs", "run_cycles")
-
-    def __init__(self, reg: Registry) -> None:
-        self.instructions = reg.counter(
-            "machine_instructions_total", "instructions retired (both paths)"
-        )
-        self.cycles = reg.counter(
-            "machine_cycles_total", "simulated cycles charged (DBI-scaled)"
-        )
-        self.runs = reg.counter(
-            "machine_run_loops_total", "run-loop entries (calls, resumes)"
-        )
-        self.run_cycles = reg.histogram(
-            "machine_run_cycles", RUN_CYCLE_BUCKETS,
-            "simulated cycles per run-loop entry",
-        )
-
-
-class _JitCounters:
-    """Bound instrument references for the fast loop's JIT flush."""
-
-    __slots__ = ("entries", "side_exits")
-
-    def __init__(self, reg: Registry) -> None:
-        self.entries = reg.counter(
-            "jit_block_entries_total", "superblock executions (JIT tier)"
-        )
-        self.side_exits = reg.counter(
-            "jit_side_exits_total",
-            "superblock side-exits into the generic step loop",
-        )
-
-
-_bound: Dict[type, object] = {}
-
-
-def _instruments(bind):
-    """``bind(registry())``, built once.
-
-    The registry never drops an instrument (``reset`` zeroes in place),
-    so bound references stay valid across enable/disable/reset.
+    The registry instrument is created by the first record made while
+    telemetry is enabled, and the reference is kept: the registry never
+    drops an instrument (``reset`` zeroes it in place), so the handle
+    stays valid across enable/disable/reset.  A handle nothing records
+    into never appears in a snapshot.
     """
-    instruments = _bound.get(bind)
-    if instruments is None:
-        instruments = _bound[bind] = bind(registry())
-    return instruments
+
+    __slots__ = ("name", "help", "_instrument")
+
+    def __init__(self, name: str, help: str) -> None:
+        self.name = name
+        self.help = help
+        self._instrument = None
 
 
-def machine_flush(cycles: float, instructions: int) -> None:
-    """Flush one run loop's batched accounting into the registry.
+class _CounterHandle(_Handle):
+    __slots__ = ()
 
-    Called once per ``CPU._run_loop`` return — never per instruction —
-    with the exact deltas the loop already computed for its own batched
-    accounting, so telemetry-on and telemetry-off runs report identical
-    ``CPU.cycles`` / ``instructions_executed``.
+    def inc(self, delta: float = 1) -> None:
+        """Add ``delta``; a no-op while telemetry is disabled."""
+        if _REGISTRY.enabled:
+            (self._instrument or self._register()).add(delta)
+
+    def _register(self) -> Counter:
+        self._instrument = _REGISTRY.counter(self.name, self.help)
+        return self._instrument
+
+
+class _HistogramHandle(_Handle):
+    __slots__ = ("bounds",)
+
+    def __init__(self, name: str, bounds: Tuple[float, ...], help: str) -> None:
+        super().__init__(name, help)
+        self.bounds = bounds
+
+    def observe(self, value: float) -> None:
+        """Observe one sample; a no-op while telemetry is disabled."""
+        if _REGISTRY.enabled:
+            (self._instrument or self._register()).observe(value)
+
+    def _register(self) -> Histogram:
+        self._instrument = _REGISTRY.histogram(self.name, self.bounds, self.help)
+        return self._instrument
+
+
+def counter(name: str, help: str) -> _CounterHandle:
+    """Declare a counter; record with ``handle.inc(delta=1)``.
+
+    Declared once, at module level, in the module that records it.
     """
-    if not registry().enabled:
-        return
-    counters = _instruments(_MachineCounters)
-    counters.instructions.value += instructions
-    counters.cycles.value += cycles
-    counters.runs.value += 1
-    counters.run_cycles.observe(cycles)
+    return _CounterHandle(name, help)
 
 
-def jit_flush(entries: int, side_exits: int) -> None:
-    """Flush one run loop's batched JIT dispatch counts.
-
-    Mirrors :func:`machine_flush`: called once per ``CPU._run_loop``
-    return (and only when at least one superblock ran), never per
-    block entry.
-    """
-    if not registry().enabled:
-        return
-    counters = _instruments(_JitCounters)
-    counters.entries.value += entries
-    counters.side_exits.value += side_exits
+def histogram(
+    name: str, bounds: Tuple[float, ...], help: str
+) -> _HistogramHandle:
+    """Declare a histogram; record with ``handle.observe(value)``."""
+    return _HistogramHandle(name, bounds, help)
 
 
-#: Bound once: the probe runs on every executed canary site.
-_REGISTRY = registry()
-_RING = ring()
-#: The probe's leader counters, registered up front so every snapshot
-#: lists them, at zero when no protected code ran.
+# ---------------------------------------------------------------------------
+# the canary-site probe
+# ---------------------------------------------------------------------------
+
+#: The probe's leader counters, registered at import so every snapshot
+#: lists them, at zero when no protected code ran.  The probe runs on
+#: every executed canary site, so it adds to the instruments directly.
 _LEADER_COUNTERS = {
-    "prologue": _REGISTRY.counter(
+    "prologue": counter(
         "canary_prologue_stores_total",
         "canary prologue regions executed (group leaders)",
     ),
-    "epilogue": _REGISTRY.counter(
+    "epilogue": counter(
         "canary_epilogue_checks_total",
         "canary epilogue checks executed (group leaders)",
     ),
 }
+for _leader in _LEADER_COUNTERS.values():
+    _leader._register()
+del _leader
+
 _LEADER_EVENTS = {"prologue": "prologue-store", "epilogue": "epilogue-check"}
 
 
@@ -260,7 +232,7 @@ def canary_probe(C, site: CanarySite) -> None:
     """
     leader = site.leader
     if leader is not None and _REGISTRY.enabled:
-        _LEADER_COUNTERS[leader].value += 1
+        _LEADER_COUNTERS[leader]._instrument.value += 1
         if _RING.sample_every > 0:
             _RING.emit_sampled(
                 _LEADER_EVENTS[leader],

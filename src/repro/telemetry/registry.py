@@ -216,16 +216,16 @@ class Registry:
     """All instruments of one process, plus the global enable switch."""
 
     def __init__(self) -> None:
-        self._instruments: Dict[str, Instrument] = {}
+        self._by_name: Dict[str, Instrument] = {}
         self.enabled = True
 
     # -- instrument creation / lookup ------------------------------------
 
     def _get(self, name: str, factory, kind: str):
-        instrument = self._instruments.get(name)
+        instrument = self._by_name.get(name)
         if instrument is None:
             instrument = factory()
-            self._instruments[name] = instrument
+            self._by_name[name] = instrument
         elif instrument.kind != kind:
             raise ValueError(
                 f"instrument {name!r} already registered as {instrument.kind}"
@@ -247,7 +247,7 @@ class Registry:
         return self._get(name, lambda: Histogram(name, bounds, help), "histogram")
 
     def instruments(self) -> List[Instrument]:
-        return [self._instruments[name] for name in sorted(self._instruments)]
+        return [self._by_name[name] for name in sorted(self._by_name)]
 
     def value(self, name: str) -> Number:
         """Current scalar value of a counter/gauge; 0 when unregistered.
@@ -256,7 +256,7 @@ class Registry:
         polling (the fleet tracer attributes canary lifecycle counters to
         request spans this way), and never creates the instrument.
         """
-        instrument = self._instruments.get(name)
+        instrument = self._by_name.get(name)
         if instrument is None or isinstance(instrument, Histogram):
             return 0
         return instrument.value
@@ -271,7 +271,7 @@ class Registry:
 
     def reset(self) -> None:
         """Zero every instrument (structure kept, values dropped)."""
-        for instrument in self._instruments.values():
+        for instrument in self._by_name.values():
             instrument.reset()
 
     def absorb(self, snapshot: "Snapshot") -> None:
@@ -296,8 +296,8 @@ class Registry:
                     histogram.counts[index] += count
                 histogram.total += value["sum"]
                 histogram.count += value["count"]
-            elif name in self._instruments:
-                self._instruments[name].add(value)
+            elif name in self._by_name:
+                self._by_name[name].add(value)
             elif value < 0:
                 self.gauge(name).add(value)
             else:
@@ -308,8 +308,8 @@ class Registry:
     def snapshot(self) -> Dict[str, object]:
         """Plain-data view of every instrument, sorted by name."""
         return {
-            name: self._instruments[name].snapshot()
-            for name in sorted(self._instruments)
+            name: self._by_name[name].snapshot()
+            for name in sorted(self._by_name)
         }
 
     def delta(self, before: Dict[str, object]) -> Dict[str, object]:

@@ -33,6 +33,11 @@ from ..telemetry.events import EventRing
 from .series import SeriesSampler
 from .spans import Instant, SliceTrace, Span, request_span_id, session_key
 
+_BUNDLES_CAPTURED = telemetry.counter(
+    "trace_bundles_captured_total",
+    "post-mortem bundles captured by slice tracers",
+)
+
 #: Canary lifecycle counters attributed per request span.
 _CANARY_COUNTERS = (
     "canary_prologue_stores_total",
@@ -321,10 +326,7 @@ class SliceTracer:
         from .bundle import build_bundle
 
         self.trace.bundles.append(build_bundle(self, trigger, detail))
-        telemetry.count(
-            "trace_bundles_captured_total",
-            help="post-mortem bundles captured by slice tracers",
-        )
+        _BUNDLES_CAPTURED.inc()
 
     # -- bundle source material -------------------------------------------
 

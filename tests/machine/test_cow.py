@@ -164,6 +164,13 @@ class TestAccounting:
         # Contents survive the freeze.
         assert memory.read_word(HEAP_BASE) == 1
 
+    def test_frozen_counter_counts_pages(self, memory):
+        for index in range(3):
+            memory.write_word(HEAP_BASE + index * PAGE, index + 1)
+        before = telemetry.snapshot()
+        memory.clone()
+        assert telemetry.delta(before)["memory_pages_frozen_total"] == 3
+
 
 class TestForkScaling:
     """A fork copies the pages the pssp fork hook writes, whatever the

@@ -1,126 +1,60 @@
-"""Debugger tools: backtraces, breakpoints, watchpoints."""
+"""Architectural snapshots: the digest and the divergence report."""
+
+import copy
 
 from repro.core.deploy import build, deploy
 from repro.kernel.kernel import Kernel
-from repro.machine.debug import Debugger, backtrace, canary_watch, inspect_frame
+from repro.machine.debug import (
+    architectural_snapshot,
+    snapshot_digest,
+    snapshot_divergences,
+)
 
-NESTED = """
+PROGRAM = """
 int inner(int x) {
     char pad[16];
     pad[0] = x;
     return pad[0] + 1;
 }
-int outer(int x) {
-    char buf[16];
-    buf[0] = x;
-    return inner(buf[0]);
-}
-int main() { return outer(5); }
-"""
-
-OVERFLOWER = """
-int handler(int n) {
-    char buf[32];
-    read(0, buf, 4096);
-    return 0;
-}
-int main() { return 0; }
+int main() { return inner(%d); }
 """
 
 
-def spawn(source, scheme="ssp", seed=71):
+def finished(argument=5, scheme="pssp", seed=71):
     kernel = Kernel(seed)
-    binary = build(source, scheme, name="t")
+    binary = build(PROGRAM % argument, scheme, name="t")
     process, _ = deploy(kernel, binary, scheme)
+    process.run()
     return process
 
 
-class TestBacktrace:
-    def test_backtrace_from_breakpoint(self):
-        process = spawn(NESTED)
-        traces = []
-        debugger = Debugger(process)
-        debugger.break_at("inner", 10)
-        debugger.on_break = lambda hit: traces.append(backtrace(process))
-        process.run()
-        debugger.detach()
-        assert traces, "breakpoint never fired"
-        chain = [frame.function for frame in traces[0]]
-        assert chain[:3] == ["inner", "outer", "main"]
+class TestSnapshotDigest:
+    def test_identical_runs_share_a_digest(self):
+        assert snapshot_digest(finished()) == snapshot_digest(finished())
 
-    def test_frame_links(self):
-        process = spawn(NESTED)
-        captured = []
-        debugger = Debugger(process)
-        debugger.break_at("inner", 10)
-        debugger.on_break = lambda hit: captured.append(backtrace(process))
-        process.run()
-        frames = captured[0]
-        assert frames[0].caller == "outer"
-        assert frames[1].caller == "main"
-        assert frames[0].rbp < frames[1].rbp  # deeper = lower address
+    def test_digest_follows_the_exit_status(self):
+        first, second = finished(5), finished(6)
+        assert first.exit_status != second.exit_status
+        assert snapshot_digest(first) != snapshot_digest(second)
 
 
-class TestInspectFrame:
-    def test_canaries_visible(self):
-        process = spawn(NESTED, scheme="pssp")
-        views = []
-        debugger = Debugger(process)
-        debugger.break_at("outer", 12)
-        debugger.on_break = lambda hit: views.append(inspect_frame(process))
-        process.run()
-        view = views[0]
-        assert view.function == "outer"
-        canaries = view.canaries()
-        assert set(canaries) == {8, 16}
-        assert canaries[8] ^ canaries[16] == process.tls.canary
+class TestSnapshotDivergences:
+    def test_equal_snapshots_have_none(self):
+        snap = architectural_snapshot(finished())
+        assert snapshot_divergences(snap, copy.deepcopy(snap)) == []
 
+    def test_memory_divergence_names_the_segment(self):
+        fast = architectural_snapshot(finished())
+        slow = copy.deepcopy(fast)
+        name = sorted(slow["memory"])[0]
+        image = bytearray(slow["memory"][name])
+        image[0] ^= 0xFF
+        slow["memory"][name] = bytes(image)
+        assert snapshot_divergences(fast, slow) == [f"memory[{name}]"]
 
-class TestBreakpoints:
-    def test_break_at_entry(self):
-        process = spawn(NESTED)
-        debugger = Debugger(process)
-        debugger.break_at("outer", 0, label="outer-entry")
-        process.run()
-        assert any("outer-entry" in hit for hit in debugger.hits)
-
-    def test_detach_restores_hook(self):
-        process = spawn(NESTED)
-        debugger = Debugger(process)
-        debugger.detach()
-        assert process.cpu.trace is None
-
-    def test_hooks_stack(self):
-        process = spawn(NESTED)
-        seen = []
-        process.cpu.trace = lambda n, i, ins: seen.append(n)
-        debugger = Debugger(process)
-        debugger.break_at("main", 0)
-        process.run()
-        debugger.detach()
-        assert seen  # the original hook kept firing underneath
-        assert debugger.hits
-
-
-class TestWatchpoints:
-    def test_canary_watch_pinpoints_the_killing_write(self):
-        process = spawn(OVERFLOWER, scheme="ssp")
-        debugger = canary_watch(process, "handler")
-        process.feed_stdin(b"A" * 100)
-        result = process.call("handler", (100,))
-        debugger.detach()
-        assert result.smashed
-        # The watch fired and identified the canary slot.
-        assert any("handler[rbp-8]" in hit for hit in debugger.hits)
-
-    def test_no_watch_hit_on_benign_run(self):
-        process = spawn(OVERFLOWER, scheme="ssp")
-        debugger = canary_watch(process, "handler")
-        process.feed_stdin(b"A" * 8)
-        result = process.call("handler", (8,))
-        debugger.detach()
-        assert result.state == "exited"
-        # The slot was *written once* by the prologue (0 -> canary) but
-        # never changed afterwards; allow that single arming transition.
-        kills = [hit for hit in debugger.hits if "-> 0x41414141" in hit]
-        assert not kills
+    def test_scalar_divergence_shows_both_values(self):
+        fast = architectural_snapshot(finished())
+        slow = dict(fast, cycles=fast["cycles"] + 1)
+        assert snapshot_divergences(fast, slow) == [
+            f"cycles: fast={fast['cycles']!r} slow={slow['cycles']!r}"
+        ]

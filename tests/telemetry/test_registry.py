@@ -3,6 +3,7 @@
 import pytest
 
 from repro import telemetry
+from repro.libc.builtins import _SMASHES_DETECTED
 from repro.telemetry.events import EventRing
 from repro.telemetry.registry import (
     Counter,
@@ -247,7 +248,7 @@ class TestModuleHelpers:
         before = telemetry.snapshot()
         telemetry.disable()
         try:
-            telemetry.count("canary_smashes_detected_total")
+            _SMASHES_DETECTED.inc()
         finally:
             telemetry.enable()
         assert telemetry.delta(before).get(

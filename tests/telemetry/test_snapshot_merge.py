@@ -29,7 +29,7 @@ class TestMergeAlgebra:
         merged = Snapshot({"a": 2, "b": 1}).merge(Snapshot({"a": 5}))
         assert merged.data == {"a": 7, "b": 1}
 
-    def test_disjoint_instruments_carry_over(self):
+    def test_disjoint_names_carry_over(self):
         merged = Snapshot({"a": 1}).merge(Snapshot({"b": 2}))
         assert merged.data == {"a": 1, "b": 2}
 

@@ -1,6 +1,7 @@
 """Counter time-series: bucketing, the merge algebra, rendering."""
 
 from repro import telemetry
+from repro.libc.builtins import _SMASHES_DETECTED
 from repro.trace import SeriesSampler, merge_series, render_series
 
 import pytest
@@ -25,7 +26,7 @@ class TestSeriesSampler:
         sampler.start(0.0)
         clock = 0.0
         for _ in range(5):
-            telemetry.count("canary_smashes_detected_total")
+            _SMASHES_DETECTED.inc()
             clock += 10.0
             sampler.on_request(clock)
         points = sampler.finish(clock)
@@ -44,7 +45,7 @@ class TestSeriesSampler:
             sampler.on_request(float(index + 1))
         assert len(sampler.finish(6.0)) == 2
 
-    def test_counter_reads_never_register_instruments(self):
+    def test_counter_reads_never_register_an_instrument(self):
         # The sampler must read, never create: tracing cannot grow the
         # audited counter set of the run it observes.
         names_before = set(telemetry.registry().instruments())

@@ -122,7 +122,7 @@ class TestBounds:
         tracer, _ = traced_slice(transcript_limit=2)
         assert len(tracer.transcript()) <= 2
 
-    def test_tracer_reads_never_register_instruments(self):
+    def test_tracer_reads_never_register_an_instrument(self):
         # counter_value is a read; tracing must not grow the audited
         # instrument set (the audit would diverge otherwise — which
         # test_tracing_does_not_perturb_the_slice also proves end-to-end).
