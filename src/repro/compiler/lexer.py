@@ -155,13 +155,18 @@ class TokenStream:
         self._pos = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        """Look at the current (or a later) token without consuming."""
-        index = min(self._pos + ahead, len(self._tokens) - 1)
-        return self._tokens[index]
+        """Look at the current (or a later) token without consuming.
+
+        ``next()`` never moves past the final eof token, so the current
+        token needs no clamp; a lookahead past the end sees eof.
+        """
+        if ahead:
+            return self._tokens[min(self._pos + ahead, len(self._tokens) - 1)]
+        return self._tokens[self._pos]
 
     def next(self) -> Token:
         """Consume and return the current token."""
-        token = self.peek()
+        token = self._tokens[self._pos]
         if token.kind != "eof":
             self._pos += 1
         return token

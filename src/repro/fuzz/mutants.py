@@ -56,12 +56,14 @@ def planted(mutant: Mutant):
     with it: the decoder is part of the toolchain, and a template's live
     clones share one decode store, so a process deployed on one side of
     the edge would otherwise serve its decodes to spawns on the other.
+    The decoder's process-wide step memo is dropped for the same reason.
     """
     from ..parallel.buildcache import build_cache
     from ..parallel.snapcache import image_cache
 
     build_cache().clear()
     image_cache().clear()
+    decode_module.clear_step_memo()
     undo = mutant.install()
     try:
         yield mutant
@@ -69,6 +71,7 @@ def planted(mutant: Mutant):
         undo()
         build_cache().clear()
         image_cache().clear()
+        decode_module.clear_step_memo()
 
 
 # -- pass-layer mutants ------------------------------------------------------
@@ -244,6 +247,20 @@ def _install_decoder_cost_drift() -> Callable[[], None]:
     return undo
 
 
+def _install_lowering_sub_reversed() -> Callable[[], None]:
+    """The shared straight-line lowering computes ``sub dst, src`` as
+    src - dst (and leaves cf alone).  Decoded steps and superblocks both
+    come from that one lowering, so both fast tiers go wrong together
+    while the slow oracle stays right."""
+    original = decode_module.LOWERINGS["sub"]
+    decode_module.LOWERINGS["sub"] = decode_module._simple_alu("({b} - {a}) & M")
+
+    def undo() -> None:
+        decode_module.LOWERINGS["sub"] = original
+
+    return undo
+
+
 MUTANTS: List[Mutant] = [
     Mutant(
         "pass-prologue-slot-off-by-one", "pass",
@@ -292,6 +309,12 @@ MUTANTS: List[Mutant] = [
         "decode cache overcharges one cycle per decoded function",
         "fast-slow-divergence on every scheme",
         _install_decoder_cost_drift,
+    ),
+    Mutant(
+        "runtime-lowering-sub-reversed", "runtime",
+        "the shared straight-line lowering computes sub as src - dst",
+        "fast-slow-divergence on every scheme",
+        _install_lowering_sub_reversed,
     ),
 ]
 

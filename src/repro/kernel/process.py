@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional
 
 from .. import telemetry
 from ..crypto.random import EntropySource
-from ..errors import KernelError, MachineFault
+from ..errors import KernelError, MachineFault, StackSmashDetected
 from ..isa.registers import RegisterFile
 from ..machine.cpu import CPU, NativeFunction
 from ..machine.devices import RdRandDevice, TimeStampCounter
@@ -64,8 +64,6 @@ class ProcessResult:
     @property
     def smashed(self) -> bool:
         """True when the crash was a canary-detected stack smash."""
-        from ..errors import StackSmashDetected
-
         return isinstance(self.crash, StackSmashDetected)
 
 

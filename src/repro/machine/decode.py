@@ -10,9 +10,9 @@ in a closure ("step"); the CPU's fast loop then just walks a step list.
 Every step is a 5-tuple ``(execute, cycles, ticks, kind, next_rip)``:
 
 * ``execute(C)`` — the instruction's semantics against CPU ``C``, with
-  operand shapes (register names, pre-computed effective-address
-  components, pre-masked immediates, resolved symbols) fixed at decode
-  time and per-process state reached through ``C``;
+  operand shapes (register names, effective-address components, masked
+  immediates, resolved symbols) fixed at decode time and per-process
+  state reached through ``C``;
 * ``cycles``    — the DBI-scaled cycle charge (exactly what
   ``CPU.charge`` would have added to ``CPU.cycles``);
 * ``ticks``     — the matching TSC advance (``int(cycles) or 1``),
@@ -25,6 +25,21 @@ Every step is a 5-tuple ``(execute, cycles, ticks, kind, next_rip)``:
   loop stores into ``registers.rip`` before executing, so faults, calls
   and return-address pushes observe exactly the same program counter as
   the slow path.
+
+**One straight-line lowering.**  :func:`lower` turns one instruction into
+Python source lines over a handful of names (``g`` the GPR dict, ``R``
+the register file, ``rd``/``wr``/``rb``/``wb`` the memory accessors,
+``M``/``S``/``T`` the word constants).  It is the single definition of
+straight-line semantics for both fast tiers: a decoded step is that one
+instruction's lines compiled into ``step(C)``, and a trace-JIT
+superblock (:mod:`repro.machine.jit`) is a run of them compiled into one
+function.  A step depends on nothing but the instruction's mnemonic and
+operands — symbols are first resolved to the image's address, so
+``lea r, sym`` lowers as an immediate move — so steps are memoised
+process-wide by ``(op, operands)`` in an LRU of :data:`STEP_MEMO_SIZE`
+entries.  Control transfers (``hlt``, ``jmp``, the conditional jumps,
+``call``, ``ret``) keep small closure compilers here, because they close
+over the function's labels and the image's callees.
 
 Steps close over the loaded image (symbol addresses, callee ``Function``
 objects, ``resolve``) and the DBI multiplier, never over a CPU: ``C``
@@ -42,14 +57,19 @@ audited C0 stores) carry one extra wrapper that runs the shared
 the telemetry switch and the CPU's watch at run time, so no observation
 state is baked into a step.
 
-Mnemonics without a specialised compiler fall back to a closure over the
-slow-path handler, which keeps semantics authoritative in one place: the
-fast path can be *faster* but never *different*.  The differential test
-(`tests/machine/test_fast_path_differential.py`) enforces that.
+Mnemonics and operand shapes the lowering does not accept (xmm moves,
+memory destinations of ALU ops, ``rdtsc``, ``idiv``, an unresolvable
+symbol, ...) fall back to a closure over the slow-path handler, which
+keeps semantics authoritative in one place: the fast path can be
+*faster* but never *different*.  The differential tests
+(`tests/machine/test_fast_path_differential.py`,
+`tests/machine/test_lowering_differential.py`) enforce that.
 """
 
 from __future__ import annotations
 
+import re
+from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import telemetry
@@ -69,7 +89,6 @@ from ..isa.registers import GPRS
 from .memory import EXIT_ADDRESS
 
 WORD_MASK = (1 << 64) - 1
-XMM_MASK = (1 << 128) - 1
 SIGN_BIT = 1 << 63
 TWO64 = 1 << 64
 
@@ -78,6 +97,12 @@ STRAIGHT = 0
 CONTROL = 1
 SYNC = 2
 
+#: Lowered steps kept by :func:`_lowered_step` (LRU, by instruction
+#: value), about 1.4 KB each.  Several times the distinct instructions
+#: of the SPEC-like suite under two schemes (327) or of 100 chaos
+#: programs (125).  Independent of the JIT's factory memo.
+STEP_MEMO_SIZE = 2048
+_STEPS: "OrderedDict[tuple, Optional[Callable]]" = OrderedDict()
 
 #: Register names the ``gpr`` dictionary holds; any other register operand
 #: is an xmm register.
@@ -148,6 +173,540 @@ class DecodedView:
         self.jit_counts: dict = {}
 
 
+# ----------------------------------------------------------------------
+# the straight-line lowering (shared by decoded steps and superblocks)
+# ----------------------------------------------------------------------
+
+_ATOM = re.compile(r"^(?:-?\d+|t\d+)$")
+
+
+class Line:
+    """One generated source line plus the facts the JIT's peephole needs."""
+
+    __slots__ = ("code", "pos", "flag", "faultable", "barrier")
+
+    def __init__(self, code, pos, flag=None, faultable=False, barrier=False):
+        self.code = code
+        self.pos = pos
+        self.flag = flag
+        self.faultable = faultable
+        self.barrier = barrier
+
+
+class Lowering:
+    """Lowering state: lines, SSA temps, forwarding maps.
+
+    A decoded step uses one per instruction; a superblock one per block,
+    where the forwarding maps carry values from one instruction to the
+    next.
+    """
+
+    def __init__(self) -> None:
+        self.lines: List[Line] = []
+        self._temp = 0
+        #: Register forwarding map: gpr name -> temp/constant expression.
+        self.fwd: Dict[str, str] = {}
+        #: Pending push records for push/pop pairing:
+        #: (slot temp, value expression) — cleared by anything that
+        #: writes memory, touches rsp outside push/pop, or is opaque.
+        self.push_stack: List[Tuple[str, str]] = []
+        #: Closure constants for the generated factory (opaque closures,
+        #: the terminal rip tuple).
+        self.consts: Dict[str, object] = {}
+        self.forwarded = 0
+
+    def temp(self) -> str:
+        self._temp += 1
+        return f"t{self._temp}"
+
+    def emit(self, code, pos, flag=None, faultable=False, barrier=False):
+        self.lines.append(Line(code, pos, flag, faultable, barrier))
+
+    def atom(self, expr: str, pos: int) -> str:
+        """Bind ``expr`` to a temp unless it is already re-readable."""
+        if _ATOM.match(expr):
+            return expr
+        name = self.temp()
+        self.emit(f"{name} = {expr}", pos)
+        return name
+
+    def rread(self, name: str) -> str:
+        value = self.fwd.get(name)
+        if value is not None:
+            self.forwarded += 1
+            return value
+        return f"g[{name!r}]"
+
+    def rwrite(self, name, expr, pos, *, stack_op=False):
+        """Store ``expr`` into a register, keeping the forwarding map."""
+        if _ATOM.match(expr):
+            value = expr
+        else:
+            value = self.temp()
+            self.emit(f"{value} = {expr}", pos)
+        self.emit(f"g[{name!r}] = {value}", pos)
+        self.fwd[name] = value
+        if name == "rsp" and not stack_op:
+            self.push_stack.clear()
+
+    def mem_write_barrier(self) -> None:
+        """An unpredictable store may alias a pushed slot."""
+        self.push_stack.clear()
+
+    def opaque(self, execute, pos: int) -> None:
+        """Call the decoded step on the block's CPU (``C``, bound into the
+        factory); a full barrier for everything."""
+        name = f"e{pos}"
+        self.consts[name] = execute
+        self.fwd.clear()
+        self.push_stack.clear()
+        self.emit(f"{name}(C)", pos, faultable=True, barrier=True)
+
+
+def _gpr_name(operand) -> Optional[str]:
+    if isinstance(operand, Reg) and operand.name in _GPRS:
+        return operand.name
+    return None
+
+
+def _ea_expr(low: Lowering, m: Mem) -> Optional[str]:
+    disp, base, index, scale = m.disp, m.base, m.index, m.scale
+    if base is not None and base not in _GPRS:
+        return None
+    if index is not None and index not in _GPRS:
+        return None
+    if m.seg is not None:
+        if m.seg != "fs":
+            return None  # the slow handler raises IllegalInstruction
+        if base is None and index is None:
+            return f"(R.fs_base + {disp}) & M"
+        if index is None:
+            return f"(R.fs_base + {disp} + {low.rread(base)}) & M"
+        if base is None:
+            return f"(R.fs_base + {disp} + {low.rread(index)} * {scale}) & M"
+        return (
+            f"(R.fs_base + {disp} + {low.rread(base)}"
+            f" + {low.rread(index)} * {scale}) & M"
+        )
+    if base is not None and index is None:
+        if disp == 0:
+            return low.rread(base)
+        return f"({low.rread(base)} + {disp}) & M"
+    if base is not None:
+        return f"({low.rread(base)} + {low.rread(index)} * {scale} + {disp}) & M"
+    if index is not None:
+        return f"({low.rread(index)} * {scale} + {disp}) & M"
+    return str(disp & WORD_MASK)
+
+
+def _read_expr(low: Lowering, operand, pos, width=8) -> Optional[str]:
+    """Value expression for a source operand; may emit a load line."""
+    if isinstance(operand, Reg):
+        if operand.name in _GPRS:
+            return low.rread(operand.name)
+        return None  # xmm source
+    if isinstance(operand, Imm):
+        value = operand.value & WORD_MASK
+        if width == 1:
+            value &= 0xFF
+        return str(value)
+    if isinstance(operand, Mem):
+        ea = _ea_expr(low, operand)
+        if ea is None:
+            return None
+        name = low.temp()
+        reader = "rd" if width == 8 else "rb"
+        low.emit(f"{name} = {reader}({ea})", pos, faultable=True)
+        return name
+    return None  # an unresolved Sym, and anything else
+
+
+# -- per-op lowering (False: not lowered; the caller falls back) ---------
+
+
+def _l_nop(low, operands, pos) -> bool:
+    return True
+
+
+def _l_mov(low, operands, pos) -> bool:
+    dst, src = operands
+    if isinstance(dst, Reg) and dst.name.startswith("xmm"):
+        return False
+    if isinstance(src, Reg) and src.name.startswith("xmm"):
+        return False
+    dst_gpr = _gpr_name(dst)
+    if dst_gpr is not None:
+        value = _read_expr(low, src, pos)
+        if value is None:
+            return False
+        low.rwrite(dst_gpr, value, pos)
+        return True
+    if isinstance(dst, Mem):
+        ea = _ea_expr(low, dst)
+        if ea is None:
+            return False
+        value = _read_expr(low, src, pos)
+        if value is None:
+            return False
+        low.mem_write_barrier()
+        low.emit(f"wr({ea}, {value})", pos, faultable=True)
+        return True
+    return False
+
+
+def _l_movb(low, operands, pos) -> bool:
+    dst, src = operands
+    value = _read_expr(low, src, pos, width=1)
+    if value is None:
+        return False
+    dst_gpr = _gpr_name(dst)
+    if dst_gpr is not None:
+        old = low.rread(dst_gpr)
+        low.rwrite(dst_gpr, f"({old} & -256) | ({value} & 0xFF)", pos)
+        return True
+    if isinstance(dst, Mem):
+        ea = _ea_expr(low, dst)
+        if ea is None:
+            return False
+        low.mem_write_barrier()
+        low.emit(f"wb({ea}, {value} & 0xFF)", pos, faultable=True)
+        return True
+    return False  # xmm byte destination: slow handler semantics
+
+
+def _l_movzxb(low, operands, pos) -> bool:
+    dst, src = operands
+    value = _read_expr(low, src, pos, width=1)
+    if value is None:
+        return False
+    dst_gpr = _gpr_name(dst)
+    if dst_gpr is not None:
+        low.rwrite(dst_gpr, f"{value} & 0xFF", pos)
+        return True
+    if isinstance(dst, Mem):
+        ea = _ea_expr(low, dst)
+        if ea is None:
+            return False
+        low.mem_write_barrier()
+        low.emit(f"wr({ea}, ({value} & 0xFF))", pos, faultable=True)
+        return True
+    return False
+
+
+def _l_lea(low, operands, pos) -> bool:
+    dst, src = operands
+    if not isinstance(src, Mem):
+        return False  # a symbol source reaches a step as an immediate move
+    dst_gpr = _gpr_name(dst)
+    if dst_gpr is None:
+        return False
+    ea = _ea_expr(low, src)
+    if ea is None:
+        return False
+    low.rwrite(dst_gpr, ea, pos)
+    return True
+
+
+def _l_push(low, operands, pos) -> bool:
+    # The source is read before rsp moves (``push %rsp`` stores the old
+    # rsp), and rsp is stored before the write that may fault.
+    value = _read_expr(low, operands[0], pos)
+    if value is None:
+        return False
+    value = low.atom(value, pos)
+    slot = low.temp()
+    low.emit(f"{slot} = ({low.rread('rsp')} - 8) & M", pos)
+    low.rwrite("rsp", slot, pos, stack_op=True)
+    low.emit(f"wr({slot}, {value})", pos, faultable=True)
+    low.push_stack.append((slot, value))
+    return True
+
+
+def _l_pop(low, operands, pos) -> bool:
+    dst_gpr = _gpr_name(operands[0])
+    if dst_gpr is None:
+        return False
+    if low.push_stack:
+        # Paired with a still-live push: the slot provably holds the
+        # pushed temporary (no store/opaque/rsp write intervened), so
+        # skip the re-read.  rsp still steps through the same values.
+        slot, value = low.push_stack.pop()
+        low.rwrite("rsp", f"({slot} + 8) & M", pos, stack_op=True)
+        low.rwrite(dst_gpr, value, pos)
+        return True
+    slot = low.atom(low.rread("rsp"), pos)
+    value = low.temp()
+    low.emit(f"{value} = rd({slot})", pos, faultable=True)
+    low.rwrite("rsp", f"({slot} + 8) & M", pos, stack_op=True)
+    low.rwrite(dst_gpr, value, pos)
+    return True
+
+
+def _l_leave(low, operands, pos) -> bool:
+    # rsp = rbp first, so a faulting load leaves rsp at rbp.
+    base = low.atom(low.rread("rbp"), pos)
+    low.rwrite("rsp", base, pos)
+    value = low.temp()
+    low.emit(f"{value} = rd({base})", pos, faultable=True)
+    low.rwrite("rbp", value, pos)
+    low.rwrite("rsp", f"({base} + 8) & M", pos)
+    return True
+
+
+def _alu_operands(low, operands, pos):
+    dst, src = operands
+    dst_gpr = _gpr_name(dst)
+    if dst_gpr is None:
+        return None
+    value = _read_expr(low, src, pos)
+    if value is None:
+        return None
+    return dst_gpr, value
+
+
+def _l_add(low, operands, pos) -> bool:
+    ops = _alu_operands(low, operands, pos)
+    if ops is None:
+        return False
+    dst, src = ops
+    raw = low.temp()
+    low.emit(f"{raw} = {low.rread(dst)} + {src}", pos)
+    low.emit(f"R.cf = {raw} > M", pos, flag="cf")
+    low.rwrite(dst, f"{raw} & M", pos)
+    result = low.fwd[dst]
+    low.emit(f"R.zf = {result} == 0", pos, flag="zf")
+    low.emit(f"R.sf = {result} >= S", pos, flag="sf")
+    return True
+
+
+def _l_sub(low, operands, pos) -> bool:
+    ops = _alu_operands(low, operands, pos)
+    if ops is None:
+        return False
+    dst, src = ops
+    a = low.atom(low.rread(dst), pos)
+    b = low.atom(src, pos)
+    low.emit(f"R.cf = {a} < {b}", pos, flag="cf")
+    low.rwrite(dst, f"({a} - {b}) & M", pos)
+    result = low.fwd[dst]
+    low.emit(f"R.zf = {result} == 0", pos, flag="zf")
+    low.emit(f"R.sf = {result} >= S", pos, flag="sf")
+    return True
+
+
+def _l_xor(low, operands, pos) -> bool:
+    ops = _alu_operands(low, operands, pos)
+    if ops is None:
+        return False
+    dst, src = ops
+    low.rwrite(dst, f"{low.rread(dst)} ^ {src}", pos)
+    result = low.fwd[dst]
+    low.emit(f"R.zf = {result} == 0", pos, flag="zf")
+    low.emit(f"R.sf = {result} >= S", pos, flag="sf")
+    low.emit("R.cf = False", pos, flag="cf")
+    return True
+
+
+def _simple_alu(template):
+    """or/and/shl/shr-style ops: masked result, zf/sf only."""
+
+    def lower_alu(low, operands, pos) -> bool:
+        ops = _alu_operands(low, operands, pos)
+        if ops is None:
+            return False
+        dst, src = ops
+        a = low.atom(low.rread(dst), pos)
+        b = low.atom(src, pos)
+        low.rwrite(dst, template.format(a=a, b=b), pos)
+        result = low.fwd[dst]
+        low.emit(f"R.zf = {result} == 0", pos, flag="zf")
+        low.emit(f"R.sf = {result} >= S", pos, flag="sf")
+        return True
+
+    return lower_alu
+
+
+def _unary(template, *, flags=True):
+    """inc/dec/neg/not on a GPR; ``not`` leaves the flags alone."""
+
+    def lower_unary(low, operands, pos) -> bool:
+        dst_gpr = _gpr_name(operands[0])
+        if dst_gpr is None:
+            return False
+        a = low.atom(low.rread(dst_gpr), pos)
+        low.rwrite(dst_gpr, template.format(a=a), pos)
+        if flags:
+            result = low.fwd[dst_gpr]
+            low.emit(f"R.zf = {result} == 0", pos, flag="zf")
+            low.emit(f"R.sf = {result} >= S", pos, flag="sf")
+        return True
+
+    return lower_unary
+
+
+def _l_cmp(low, operands, pos) -> bool:
+    a_op, b_op = operands
+    a = _read_expr(low, a_op, pos)
+    if a is None:
+        return False
+    b = _read_expr(low, b_op, pos)
+    if b is None:
+        return False
+    a = low.atom(a, pos)
+    b = low.atom(b, pos)
+    low.emit(f"R.zf = {a} == {b}", pos, flag="zf")
+    if isinstance(b_op, Imm):
+        value = b_op.value & WORD_MASK
+        signed = value - TWO64 if value >= SIGN_BIT else value
+        low.emit(
+            f"R.sf = ({a} - T if {a} >= S else {a}) < {signed}",
+            pos, flag="sf",
+        )
+    else:
+        low.emit(
+            f"R.sf = ({a} - T if {a} >= S else {a})"
+            f" < ({b} - T if {b} >= S else {b})",
+            pos, flag="sf",
+        )
+    low.emit(f"R.cf = {a} < {b}", pos, flag="cf")
+    return True
+
+
+def _l_test(low, operands, pos) -> bool:
+    a_op, b_op = operands
+    a = _read_expr(low, a_op, pos)
+    if a is None:
+        return False
+    b = _read_expr(low, b_op, pos)
+    if b is None:
+        return False
+    result = low.atom(f"{a} & {b}", pos)
+    low.emit(f"R.zf = {result} == 0", pos, flag="zf")
+    low.emit(f"R.sf = {result} >= S", pos, flag="sf")
+    low.emit("R.cf = False", pos, flag="cf")
+    return True
+
+
+#: The lowering's op table: every straight-line mnemonic it accepts.
+LOWERINGS: Dict[str, Callable[[Lowering, tuple, int], bool]] = {
+    "nop": _l_nop,
+    "mov": _l_mov,
+    "movb": _l_movb,
+    "movzxb": _l_movzxb,
+    "lea": _l_lea,
+    "push": _l_push,
+    "pop": _l_pop,
+    "leave": _l_leave,
+    "add": _l_add,
+    "sub": _l_sub,
+    "xor": _l_xor,
+    "or": _simple_alu("({a} | {b}) & M"),
+    "and": _simple_alu("({a} & {b}) & M"),
+    "shl": _simple_alu("({a} << ({b} & 63)) & M"),
+    "shr": _simple_alu("({a} >> ({b} & 63)) & M"),
+    "sar": _simple_alu("(({a} - T if {a} >= S else {a}) >> ({b} & 63)) & M"),
+    "imul": _simple_alu(
+        "(({a} - T if {a} >= S else {a}) * ({b} - T if {b} >= S else {b})) & M"
+    ),
+    "inc": _unary("({a} + 1) & M"),
+    "dec": _unary("({a} - 1) & M"),
+    "neg": _unary("(-{a}) & M"),
+    "not": _unary("(~{a}) & M", flags=False),
+    "cmp": _l_cmp,
+    "test": _l_test,
+}
+
+
+def lower(low: Lowering, op: str, operands: tuple, pos: int) -> bool:
+    """Append ``op operands`` to ``low``; False (and nothing appended) if
+    the lowering does not accept that shape."""
+    handler = LOWERINGS.get(op)
+    if handler is None:
+        return False
+    mark = len(low.lines)
+    temp_mark = low._temp
+    fwd_mark = dict(low.fwd)
+    stack_mark = list(low.push_stack)
+    ok = handler(low, operands, pos)
+    if not ok:
+        # Drop any partial emission (lines *and* forwarding state);
+        # the caller's fallback redoes the instruction from scratch.
+        del low.lines[mark:]
+        low._temp = temp_mark
+        low.fwd = fwd_mark
+        low.push_stack = stack_mark
+    return ok
+
+
+# ----------------------------------------------------------------------
+# lowered steps, memoised by instruction value
+# ----------------------------------------------------------------------
+
+#: CPU attributes the lowered code reads, bound once per step call.
+_STEP_BINDINGS = (
+    ("g", "gpr"), ("R", "registers"), ("rd", "read_word"),
+    ("wr", "write_word"), ("rb", "read_byte"), ("wb", "write_byte"),
+)
+_BOUND_NAME = re.compile(r"\b(?:g|R|rd|wr|rb|wb)\b")
+_MISSING = object()
+
+
+def _step_key(instruction: Instruction, image) -> Optional[tuple]:
+    """``(op, operands)`` with every symbol resolved to an immediate, or
+    ``None`` while a symbol is unresolvable (the slow handler then
+    raises at execution, as it would on the slow path)."""
+    op, operands = instruction.op, instruction.operands
+    if not any(isinstance(operand, Sym) for operand in operands):
+        return op, operands
+    resolved = []
+    for operand in operands:
+        if isinstance(operand, Sym):
+            try:
+                operand = Imm(image.address_of(operand.name))
+            except Exception:
+                return None
+        resolved.append(operand)
+    if op == "lea" and isinstance(operands[1], Sym):
+        op = "mov"  # lea r, sym loads the symbol's address
+    return op, tuple(resolved)
+
+
+def _compile_step(low: Lowering) -> Callable[[object], None]:
+    """Compile one instruction's lowered lines into ``step(C)``."""
+    code = [line.code for line in low.lines]
+    used = set(_BOUND_NAME.findall("\n".join(code)))
+    body = [f"{name} = C.{attr}" for name, attr in _STEP_BINDINGS if name in used]
+    body.extend(code)
+    source = "def step(C):\n" + "".join(f"    {line}\n" for line in body or ["pass"])
+    namespace: Dict[str, object] = {"M": WORD_MASK, "S": SIGN_BIT, "T": TWO64}
+    exec(  # noqa: S102 - source is generated above from vetted templates
+        compile(source, "<decoded step>", "exec"), namespace
+    )
+    return namespace["step"]
+
+
+def _lowered_step(instruction: Instruction, image) -> Optional[Callable]:
+    """The memoised lowered step for ``instruction``, or ``None`` when
+    the lowering does not accept its shape."""
+    key = _step_key(instruction, image)
+    if key is None:
+        return None
+    step = _STEPS.get(key, _MISSING)
+    if step is not _MISSING:
+        _STEPS.move_to_end(key)
+        return step
+    low = Lowering()
+    step = _STEPS[key] = _compile_step(low) if lower(low, *key, 0) else None
+    if len(_STEPS) > STEP_MEMO_SIZE:
+        _STEPS.popitem(last=False)
+    return step
+
+
+def clear_step_memo() -> None:
+    """Forget every memoised step (for code that patches the lowering)."""
+    _STEPS.clear()
+
+
 class FunctionDecoder:
     """Compiles :class:`Function` bodies into CPU-parametric step lists.
 
@@ -159,30 +718,8 @@ class FunctionDecoder:
         self.image = image
         self.dbi_multiplier = dbi_multiplier
         self._dispatch = dispatch
-        self._compilers = {
-            "nop": self._c_nop,
+        self._control = {
             "hlt": self._c_hlt,
-            "mov": self._c_mov,
-            "movb": self._c_movb,
-            "movzxb": self._c_movzxb,
-            "lea": self._c_lea,
-            "push": self._c_push,
-            "pop": self._c_pop,
-            "add": self._c_add,
-            "sub": self._c_sub,
-            "xor": self._c_xor,
-            "or": self._c_or,
-            "and": self._c_and,
-            "shl": self._c_shl,
-            "shr": self._c_shr,
-            "sar": self._c_sar,
-            "imul": self._c_imul,
-            "inc": self._c_inc,
-            "dec": self._c_dec,
-            "neg": self._c_neg,
-            "not": self._c_not,
-            "cmp": self._c_cmp,
-            "test": self._c_test,
             "jmp": self._c_jmp,
             "je": self._c_je,
             "jne": self._c_jne,
@@ -194,7 +731,6 @@ class FunctionDecoder:
             "jae": self._c_jae,
             "call": self._c_call,
             "ret": self._c_ret,
-            "leave": self._c_leave,
         }
 
     # ------------------------------------------------------------------
@@ -209,15 +745,22 @@ class FunctionDecoder:
         time, so the steps never need re-decoding when either changes.
         """
         dbi = self.dbi_multiplier
+        image = self.image
+        control = self._control
         name = function.name
         sites = telemetry.canary_sites(function)
         steps: List[Step] = []
         for index, instruction in enumerate(function.body):
             cycles, ticks = step_cost(instruction, dbi)
+            op = instruction.op
             compiled = None
-            compiler = self._compilers.get(instruction.op)
+            compiler = control.get(op)
             if compiler is not None:
                 compiled = compiler(function, index, instruction)
+            elif op in LOWERINGS:
+                step = _lowered_step(instruction, image)
+                if step is not None:
+                    compiled = step, STRAIGHT
             if compiled is None:
                 compiled = self._generic(instruction)
             execute, kind = compiled
@@ -254,142 +797,8 @@ class FunctionDecoder:
         return execute, kind
 
     # ------------------------------------------------------------------
-    # operand accessor compilation
+    # control flow
     # ------------------------------------------------------------------
-
-    def _ea(self, m: Mem) -> Optional[Callable[[object], int]]:
-        """Compile an effective-address thunk, or ``None`` if not possible."""
-        disp, base, index, scale = m.disp, m.base, m.index, m.scale
-        if base is not None and base not in _GPRS:
-            return None
-        if index is not None and index not in _GPRS:
-            return None
-        if m.seg is not None:
-            if m.seg != "fs":
-                return None  # generic path raises IllegalInstruction at exec
-            if base is None and index is None:
-                return lambda C: (C.registers.fs_base + disp) & WORD_MASK
-            if index is None:
-                return lambda C: (
-                    C.registers.fs_base + disp + C.gpr[base]
-                ) & WORD_MASK
-            if base is None:
-                return lambda C: (
-                    C.registers.fs_base + disp + C.gpr[index] * scale
-                ) & WORD_MASK
-
-            def fs_base_index(C) -> int:
-                gpr = C.gpr
-                return (
-                    C.registers.fs_base + disp + gpr[base] + gpr[index] * scale
-                ) & WORD_MASK
-
-            return fs_base_index
-        if base is not None and index is None:
-            if disp == 0:
-                return lambda C: C.gpr[base]
-            return lambda C: (C.gpr[base] + disp) & WORD_MASK
-        if base is not None:
-
-            def base_index(C) -> int:
-                gpr = C.gpr
-                return (gpr[base] + gpr[index] * scale + disp) & WORD_MASK
-
-            return base_index
-        if index is not None:
-            return lambda C: (C.gpr[index] * scale + disp) & WORD_MASK
-        address = disp & WORD_MASK
-        return lambda C: address
-
-    def _read(self, operand, width: int = 8) -> Optional[Callable[[object], int]]:
-        """Compile a read thunk mirroring ``CPU.read_operand``."""
-        if isinstance(operand, Reg):
-            name = operand.name
-            if name in _GPRS:
-                return lambda C: C.gpr[name]
-            return lambda C: C.registers.xmm[name]
-        if isinstance(operand, Imm):
-            value = operand.value & WORD_MASK
-            return lambda C: value
-        if isinstance(operand, Mem):
-            ea = self._ea(operand)
-            if ea is None:
-                return None
-            if width == 8:
-                return lambda C: C.read_word(ea(C))
-            if width == 1:
-                return lambda C: C.read_byte(ea(C))
-            if width == 16:
-
-                def read16(C) -> int:
-                    address = ea(C)
-                    read_word = C.read_word
-                    return (read_word(address + 8) << 64) | read_word(address)
-
-                return read16
-            return None
-        if isinstance(operand, Sym):
-            image = self.image
-            symbol = operand.name
-            try:
-                value = image.address_of(symbol)
-            except Exception:
-                # Unresolved now; defer (and fail) at execution time, like
-                # the slow path does.
-                return lambda C: image.address_of(symbol)
-            return lambda C: value
-        return None
-
-    def _write(self, operand, width: int = 8) -> Optional[Callable[[object, int], None]]:
-        """Compile a write thunk mirroring ``CPU.write_operand``."""
-        if isinstance(operand, Reg):
-            name = operand.name
-            if name in _GPRS:
-
-                def write_gpr(C, value: int) -> None:
-                    C.gpr[name] = value & WORD_MASK
-
-                return write_gpr
-
-            def write_xmm(C, value: int) -> None:
-                C.registers.xmm[name] = value & XMM_MASK
-
-            return write_xmm
-        if isinstance(operand, Mem):
-            ea = self._ea(operand)
-            if ea is None:
-                return None
-            if width == 8:
-                return lambda C, value: C.write_word(ea(C), value & WORD_MASK)
-            if width == 1:
-                return lambda C, value: C.write_byte(ea(C), value & 0xFF)
-            if width == 16:
-
-                def write16(C, value: int) -> None:
-                    address = ea(C)
-                    write_word = C.write_word
-                    write_word(address, value & WORD_MASK)
-                    write_word(address + 8, (value >> 64) & WORD_MASK)
-
-                return write16
-            return None
-        return None
-
-    def _gpr_name(self, operand) -> Optional[str]:
-        """The GPR name of a register operand, or ``None``."""
-        if isinstance(operand, Reg) and operand.name in _GPRS:
-            return operand.name
-        return None
-
-    # ------------------------------------------------------------------
-    # data movement
-    # ------------------------------------------------------------------
-
-    def _c_nop(self, function, index, instruction):
-        def execute(C) -> None:
-            pass
-
-        return execute, STRAIGHT
 
     def _c_hlt(self, function, index, instruction):
         def execute(C) -> None:
@@ -397,386 +806,6 @@ class FunctionDecoder:
             C.exit_status = C.gpr["rax"] & 0xFF
 
         return execute, CONTROL
-
-    def _c_mov(self, function, index, instruction):
-        dst, src = instruction.operands
-        if isinstance(dst, Reg) and dst.name.startswith("xmm"):
-            # Mirrors the slow handler: the destination-xmm case wins and
-            # takes the *full* source register value (128-bit for xmm src).
-            read = self._read(src)
-            write = self._write(dst)
-            if read is None or write is None:
-                return None
-
-            def execute_to_xmm(C) -> None:
-                write(C, read(C))
-
-            return execute_to_xmm, STRAIGHT
-        if isinstance(src, Reg) and src.name.startswith("xmm"):
-            source = src.name
-            read = lambda C: C.registers.xmm[source] & WORD_MASK  # noqa: E731
-        else:
-            read = self._read(src)
-        write = self._write(dst)
-        if read is None or write is None:
-            return None
-        # Fuse the hottest shapes: gpr <- imm/gpr/mem.
-        dst_gpr = self._gpr_name(dst)
-        if dst_gpr is not None:
-            if isinstance(src, Imm):
-                value = src.value & WORD_MASK
-
-                def execute(C) -> None:
-                    C.gpr[dst_gpr] = value
-
-                return execute, STRAIGHT
-            src_gpr = self._gpr_name(src)
-            if src_gpr is not None:
-
-                def execute(C) -> None:
-                    gpr = C.gpr
-                    gpr[dst_gpr] = gpr[src_gpr]
-
-                return execute, STRAIGHT
-
-            def execute(C) -> None:
-                C.gpr[dst_gpr] = read(C)
-
-            return execute, STRAIGHT
-
-        def execute(C) -> None:
-            write(C, read(C))
-
-        return execute, STRAIGHT
-
-    def _c_movb(self, function, index, instruction):
-        dst, src = instruction.operands
-        read = self._read(src, width=1)
-        if read is None:
-            return None
-        dst_gpr = self._gpr_name(dst)
-        if dst_gpr is not None:
-
-            def execute(C) -> None:
-                gpr = C.gpr
-                gpr[dst_gpr] = (gpr[dst_gpr] & ~0xFF) | (read(C) & 0xFF)
-
-            return execute, STRAIGHT
-        if isinstance(dst, Reg):
-            return None  # xmm byte destination: defer to the slow handler
-        write = self._write(dst, width=1)
-        if write is None:
-            return None
-
-        def execute(C) -> None:
-            write(C, read(C) & 0xFF)
-
-        return execute, STRAIGHT
-
-    def _c_movzxb(self, function, index, instruction):
-        dst, src = instruction.operands
-        read = self._read(src, width=1)
-        write = self._write(dst)
-        if read is None or write is None:
-            return None
-
-        def execute(C) -> None:
-            write(C, read(C) & 0xFF)
-
-        return execute, STRAIGHT
-
-    def _c_lea(self, function, index, instruction):
-        dst, src = instruction.operands
-        write = self._write(dst)
-        if write is None:
-            return None
-        if isinstance(src, Mem):
-            ea = self._ea(src)
-            if ea is None:
-                return None
-            dst_gpr = self._gpr_name(dst)
-            if dst_gpr is not None:
-
-                def execute(C) -> None:
-                    C.gpr[dst_gpr] = ea(C)
-
-                return execute, STRAIGHT
-
-            def execute(C) -> None:
-                write(C, ea(C))
-
-            return execute, STRAIGHT
-        if isinstance(src, Sym):
-            read = self._read(src)
-            if read is None:
-                return None
-
-            def execute(C) -> None:
-                write(C, read(C))
-
-            return execute, STRAIGHT
-        return None  # slow path raises IllegalInstruction
-
-    # ------------------------------------------------------------------
-    # stack
-    # ------------------------------------------------------------------
-
-    def _c_push(self, function, index, instruction):
-        read = self._read(instruction.operands[0])
-        if read is None:
-            return None
-
-        def execute(C) -> None:
-            gpr = C.gpr
-            rsp = (gpr["rsp"] - 8) & WORD_MASK
-            gpr["rsp"] = rsp
-            C.write_word(rsp, read(C))
-
-        return execute, STRAIGHT
-
-    def _c_pop(self, function, index, instruction):
-        target = instruction.operands[0]
-        dst_gpr = self._gpr_name(target)
-        if dst_gpr is not None:
-
-            def execute(C) -> None:
-                gpr = C.gpr
-                rsp = gpr["rsp"]
-                value = C.read_word(rsp)
-                gpr["rsp"] = (rsp + 8) & WORD_MASK
-                gpr[dst_gpr] = value
-
-            return execute, STRAIGHT
-        write = self._write(target)
-        if write is None:
-            return None
-
-        def execute(C) -> None:
-            gpr = C.gpr
-            rsp = gpr["rsp"]
-            value = C.read_word(rsp)
-            gpr["rsp"] = (rsp + 8) & WORD_MASK
-            write(C, value)
-
-        return execute, STRAIGHT
-
-    def _c_leave(self, function, index, instruction):
-        def execute(C) -> None:
-            gpr = C.gpr
-            rbp = gpr["rbp"]
-            gpr["rbp"] = C.read_word(rbp)
-            gpr["rsp"] = (rbp + 8) & WORD_MASK
-
-        return execute, STRAIGHT
-
-    # ------------------------------------------------------------------
-    # ALU
-    # ------------------------------------------------------------------
-
-    def _c_add(self, function, index, instruction):
-        dst, src = instruction.operands
-        dst_gpr = self._gpr_name(dst)
-        read = self._read(src)
-        if dst_gpr is None or read is None:
-            return None
-        if isinstance(src, Imm):
-            value = src.value & WORD_MASK
-
-            def execute(C) -> None:
-                gpr = C.gpr
-                registers = C.registers
-                result = gpr[dst_gpr] + value
-                registers.cf = result > WORD_MASK
-                result &= WORD_MASK
-                gpr[dst_gpr] = result
-                registers.zf = result == 0
-                registers.sf = result >= SIGN_BIT
-
-            return execute, STRAIGHT
-
-        def execute(C) -> None:
-            gpr = C.gpr
-            registers = C.registers
-            result = gpr[dst_gpr] + read(C)
-            registers.cf = result > WORD_MASK
-            result &= WORD_MASK
-            gpr[dst_gpr] = result
-            registers.zf = result == 0
-            registers.sf = result >= SIGN_BIT
-
-        return execute, STRAIGHT
-
-    def _c_sub(self, function, index, instruction):
-        dst, src = instruction.operands
-        dst_gpr = self._gpr_name(dst)
-        read = self._read(src)
-        if dst_gpr is None or read is None:
-            return None
-
-        def execute(C) -> None:
-            gpr = C.gpr
-            registers = C.registers
-            a = gpr[dst_gpr]
-            b = read(C)
-            registers.cf = a < b
-            result = (a - b) & WORD_MASK
-            gpr[dst_gpr] = result
-            registers.zf = result == 0
-            registers.sf = result >= SIGN_BIT
-
-        return execute, STRAIGHT
-
-    def _c_xor(self, function, index, instruction):
-        dst, src = instruction.operands
-        dst_gpr = self._gpr_name(dst)
-        read = self._read(src)
-        if dst_gpr is None or read is None:
-            return None
-
-        def execute(C) -> None:
-            gpr = C.gpr
-            registers = C.registers
-            result = gpr[dst_gpr] ^ read(C)
-            gpr[dst_gpr] = result
-            registers.zf = result == 0
-            registers.sf = result >= SIGN_BIT
-            registers.cf = False
-
-        return execute, STRAIGHT
-
-    def _alu(self, instruction, combine):
-        """Shared compiler for the rarer two-operand ALU ops."""
-        dst, src = instruction.operands
-        dst_gpr = self._gpr_name(dst)
-        read = self._read(src)
-        if dst_gpr is None or read is None:
-            return None
-
-        def execute(C) -> None:
-            gpr = C.gpr
-            registers = C.registers
-            result = combine(gpr[dst_gpr], read(C)) & WORD_MASK
-            gpr[dst_gpr] = result
-            registers.zf = result == 0
-            registers.sf = result >= SIGN_BIT
-
-        return execute, STRAIGHT
-
-    def _c_or(self, function, index, instruction):
-        return self._alu(instruction, lambda a, b: a | b)
-
-    def _c_and(self, function, index, instruction):
-        return self._alu(instruction, lambda a, b: a & b)
-
-    def _c_shl(self, function, index, instruction):
-        return self._alu(instruction, lambda a, b: a << (b & 63))
-
-    def _c_shr(self, function, index, instruction):
-        return self._alu(instruction, lambda a, b: a >> (b & 63))
-
-    def _c_sar(self, function, index, instruction):
-        return self._alu(
-            instruction,
-            lambda a, b: ((a - TWO64 if a >= SIGN_BIT else a) >> (b & 63)) & WORD_MASK,
-        )
-
-    def _c_imul(self, function, index, instruction):
-        return self._alu(
-            instruction,
-            lambda a, b: (a - TWO64 if a >= SIGN_BIT else a)
-            * (b - TWO64 if b >= SIGN_BIT else b),
-        )
-
-    def _unary(self, instruction, transform, *, set_flags: bool = True):
-        target = instruction.operands[0]
-        dst_gpr = self._gpr_name(target)
-        if dst_gpr is None:
-            return None
-        if set_flags:
-
-            def execute(C) -> None:
-                gpr = C.gpr
-                registers = C.registers
-                result = transform(gpr[dst_gpr]) & WORD_MASK
-                gpr[dst_gpr] = result
-                registers.zf = result == 0
-                registers.sf = result >= SIGN_BIT
-
-        else:
-
-            def execute(C) -> None:
-                gpr = C.gpr
-                gpr[dst_gpr] = transform(gpr[dst_gpr]) & WORD_MASK
-
-        return execute, STRAIGHT
-
-    def _c_inc(self, function, index, instruction):
-        return self._unary(instruction, lambda a: a + 1)
-
-    def _c_dec(self, function, index, instruction):
-        return self._unary(instruction, lambda a: a - 1)
-
-    def _c_neg(self, function, index, instruction):
-        return self._unary(instruction, lambda a: -a)
-
-    def _c_not(self, function, index, instruction):
-        return self._unary(instruction, lambda a: ~a, set_flags=False)
-
-    # ------------------------------------------------------------------
-    # compare / test
-    # ------------------------------------------------------------------
-
-    def _c_cmp(self, function, index, instruction):
-        a_op, b_op = instruction.operands
-        a_gpr = self._gpr_name(a_op)
-        if a_gpr is not None and isinstance(b_op, Imm):
-            b = b_op.value & WORD_MASK
-            b_signed = b - TWO64 if b >= SIGN_BIT else b
-
-            def execute(C) -> None:
-                a = C.gpr[a_gpr]
-                registers = C.registers
-                registers.zf = a == b
-                registers.sf = (a - TWO64 if a >= SIGN_BIT else a) < b_signed
-                registers.cf = a < b
-
-            return execute, STRAIGHT
-        read_a = self._read(a_op)
-        read_b = self._read(b_op)
-        if read_a is None or read_b is None:
-            return None
-
-        def execute(C) -> None:
-            a = read_a(C)
-            b = read_b(C)
-            registers = C.registers
-            registers.zf = a == b
-            registers.sf = (a - TWO64 if a >= SIGN_BIT else a) < (
-                b - TWO64 if b >= SIGN_BIT else b
-            )
-            registers.cf = a < b
-
-        return execute, STRAIGHT
-
-    def _c_test(self, function, index, instruction):
-        a_op, b_op = instruction.operands
-        read_a = self._read(a_op)
-        read_b = self._read(b_op)
-        if read_a is None or read_b is None:
-            return None
-
-        def execute(C) -> None:
-            result = read_a(C) & read_b(C)
-            registers = C.registers
-            registers.zf = result == 0
-            registers.sf = result >= SIGN_BIT
-            registers.cf = False
-
-        return execute, STRAIGHT
-
-    # ------------------------------------------------------------------
-    # control flow
-    # ------------------------------------------------------------------
 
     def _label_rip(self, function: Function, label: Label):
         """Resolve a label to its rip tuple, or a raising closure."""

@@ -157,3 +157,11 @@ class TestTokenStream:
         stream.next()
         assert stream.next().kind == "eof"
         assert stream.next().kind == "eof"
+
+    def test_lookahead_past_the_last_token_sees_eof(self):
+        stream = TokenStream(tokenize("a"))
+        assert stream.peek(1).kind == "eof"
+        assert stream.peek(5).kind == "eof"
+        stream.next()
+        assert stream.peek().kind == "eof"
+        assert stream.peek(1).kind == "eof"

@@ -2,8 +2,9 @@
 
 Each mutant injects one historically-plausible defect (wrong canary
 slot, skipped epilogue check, wrong XOR half, neutered failure stub,
-fork that forgets to re-randomize, drifting decode-cache costs) into a
-different layer of the tree.  A small seeded campaign must flag every
+fork that forgets to re-randomize, drifting decode-cache costs, a
+reversed ``sub`` in the shared straight-line lowering) into a different
+layer of the tree.  A small seeded campaign must flag every
 one — and must stay green on the unmutated tree — or the differential
 oracle has silently rotted.
 """
@@ -45,6 +46,29 @@ class TestMutantInventory:
             with planted(by_name["pass-epilogue-check-skipped"]):
                 raise RuntimeError("boom")
         assert PSSPPass.emit_epilogue_check is original
+
+
+    def test_planting_clears_the_step_memo_on_both_edges(self):
+        # Decoded steps are memoised process-wide by instruction value; a
+        # lowering mutant must not be served pre-mutant steps, nor leave
+        # its own behind.
+        from types import SimpleNamespace
+
+        from repro.isa.instructions import Imm, Reg, ins
+        from repro.machine import decode
+
+        sub = ins("sub", Reg("rax"), Imm(1))
+
+        def rax_after(step):
+            cpu = SimpleNamespace(gpr={"rax": 5}, registers=SimpleNamespace())
+            step(cpu)
+            return cpu.gpr["rax"]
+
+        assert rax_after(decode._lowered_step(sub, None)) == 4
+        by_name = {mutant.name: mutant for mutant in MUTANTS}
+        with planted(by_name["runtime-lowering-sub-reversed"]):
+            assert rax_after(decode._lowered_step(sub, None)) == (1 - 5) % (1 << 64)
+        assert rax_after(decode._lowered_step(sub, None)) == 4
 
 
 class TestMutationKill:

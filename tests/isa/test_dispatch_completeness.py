@@ -2,10 +2,11 @@
 
 The interpreter keeps three parallel views of the instruction set: the
 mnemonic registry (``ALL_OPS``), the cycle-cost table (``_BASE_COSTS``),
-and the dispatch table (``_DISPATCH``).  The fast path adds a fourth —
-the decode-cache specialisers — which must only ever cover a *subset* of
-the dispatch table (anything unspecialised falls back to the generic
-closure).  A mnemonic added to one table but not the others dies at
+and the dispatch table (``_DISPATCH``).  The fast tiers add a fourth —
+the op table of the one straight-line lowering (``decode.LOWERINGS``)
+that builds both decoded steps and superblocks — which must only ever
+cover a *subset* of the dispatch table, and no control transfer
+(anything it does not lower falls back to the generic closure).  A mnemonic added to one table but not the others dies at
 runtime with a KeyError deep inside the run loop; these tests fail it at
 collection speed instead.
 """
@@ -41,13 +42,12 @@ class TestTableCompleteness:
         assert CONDITIONAL_JUMPS <= CONTROL_TRANSFER_OPS
 
     def test_decode_specialisers_are_a_dispatch_subset(self):
-        from repro.machine.decode import FunctionDecoder
+        from repro.machine.decode import LOWERINGS
 
-        # The compiler table is built in __init__; it needs no image.
-        decoder = FunctionDecoder(None, _DISPATCH)
-        unknown = set(decoder._compilers) - ALL_OPS
-        assert not unknown, f"specialisers for unknown mnemonics: {sorted(unknown)}"
-        assert set(decoder._compilers) <= set(_DISPATCH)
+        unknown = set(LOWERINGS) - ALL_OPS
+        assert not unknown, f"lowerings for unknown mnemonics: {sorted(unknown)}"
+        assert set(LOWERINGS) <= set(_DISPATCH)
+        assert not set(LOWERINGS) & CONTROL_TRANSFER_OPS
 
 
 class TestCostConsistency:

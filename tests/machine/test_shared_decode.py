@@ -15,9 +15,11 @@ import pytest
 
 from repro import telemetry
 from repro.core.deploy import SCHEMES, build, deploy
-from repro.isa.instructions import Imm, Instruction
+from repro.errors import LinkError
+from repro.isa.instructions import Imm, Instruction, Reg
 from repro.kernel.kernel import Kernel
 from repro.machine import decode as decode_module
+from repro.machine.cpu import _DISPATCH
 from repro.machine.debug import architectural_snapshot, snapshot_divergences
 from repro.parallel.snapcache import image_cache
 
@@ -302,3 +304,48 @@ def test_fast_equals_slow_over_a_smashing_fork_chain(scheme):
             fast_processes[2].cpu._decode_cache["victim"].steps
             is fast_processes[1].cpu._decode_cache["victim"].steps
         )
+
+
+class TestStepMemo:
+    """Straight-line steps are memoised process-wide by instruction value."""
+
+    def test_equal_instructions_share_one_step_across_images(self, asm):
+        source = "f:\n add rax, 1\n lea rbx, [rsp+8]\n ret\n"
+        first, second = asm(source), asm(source)
+        steps = [
+            decode_module.FunctionDecoder(h.image, _DISPATCH)
+            .decode(h.image.function("f"))
+            .steps
+            for h in (first, second)
+        ]
+        assert first.image is not second.image
+        assert steps[0][0][0] is steps[1][0][0]
+        assert steps[0][1][0] is steps[1][1][0]
+
+    def test_symbol_operands_are_keyed_by_their_address(self, asm):
+        h = asm("f:\n lea rax, g\n mov rbx, g\n lea rcx, nowhere\n ret\ng:\n ret\n")
+        steps = decode_module.FunctionDecoder(h.image, _DISPATCH).decode(
+            h.image.function("f")
+        ).steps
+        address = h.image.address_of("g")
+        lea = decode_module._STEPS[("mov", (Reg("rax"), Imm(address)))]
+        assert steps[0][0] is lea
+        assert steps[1][0] is decode_module._STEPS[
+            ("mov", (Reg("rbx"), Imm(address)))
+        ]
+        # An unresolvable symbol keeps the slow handler, which raises
+        # when the step runs.
+        assert steps[2][0] not in decode_module._STEPS.values()
+        with pytest.raises(LinkError):
+            steps[2][0](h.cpu)
+
+    def test_memo_evicts_least_recently_used_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(decode_module, "STEP_MEMO_SIZE", 2)
+        decode_module.clear_step_memo()
+        adds = [Instruction("add", (Reg("rax"), Imm(n))) for n in range(3)]
+        first = decode_module._lowered_step(adds[0], None)
+        decode_module._lowered_step(adds[1], None)
+        assert decode_module._lowered_step(adds[0], None) is first
+        decode_module._lowered_step(adds[2], None)
+        keys = [("add", add.operands) for add in adds]
+        assert list(decode_module._STEPS) == [keys[0], keys[2]]
