@@ -32,15 +32,6 @@ class ByteByByteReport:
     #: True when the final verification overflow also survived.
     verified: bool = False
 
-    @property
-    def recovered_words(self) -> List[int]:
-        """Recovered canary region as 64-bit little-endian words."""
-        padded = self.recovered + b"\x00" * (-len(self.recovered) % 8)
-        return [
-            int.from_bytes(padded[i : i + 8], "little")
-            for i in range(0, len(padded), 8)
-        ]
-
 
 def byte_by_byte_attack(
     server: ForkingServer,
@@ -59,7 +50,8 @@ def byte_by_byte_attack(
     the "recovered" bytes were an illusion.
     """
     builder = PayloadBuilder(frame)
-    recovered = bytearray()
+    # The confirmed prefix, extended once per confirmed byte.
+    recovered = b""
     per_byte: List[int] = []
     trials = 0
     for _position in range(frame.canary_region_size):
@@ -70,23 +62,23 @@ def byte_by_byte_attack(
         byte_trials = 0
         for guess in order:
             if trials >= max_trials:
-                return ByteByByteReport(False, trials, bytes(recovered), per_byte)
+                return ByteByByteReport(False, trials, recovered, per_byte)
             trials += 1
             byte_trials += 1
-            response = server.handle_request(builder.probe(bytes(recovered), guess))
+            response = server.handle_request(builder.probe(recovered, guess))
             if not response.crashed:
                 confirmed = guess
                 break
         if confirmed is None:
             # All 256 candidates crashed: the canary must have moved under
             # us — re-randomization is defeating accumulation.
-            return ByteByByteReport(False, trials, bytes(recovered), per_byte)
-        recovered.append(confirmed)
+            return ByteByByteReport(False, trials, recovered, per_byte)
+        recovered += bytes((confirmed,))
         per_byte.append(byte_trials)
 
-    report = ByteByByteReport(True, trials, bytes(recovered), per_byte)
+    report = ByteByByteReport(True, trials, recovered, per_byte)
     if verify:
-        payload = builder.probe(bytes(recovered[:-1]), recovered[-1])
+        payload = builder.probe(recovered[:-1], recovered[-1])
         response = server.handle_request(payload)
         report.verified = not response.crashed
         report.success = report.verified

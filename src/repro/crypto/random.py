@@ -32,7 +32,7 @@ class EntropySource:
     """
 
     def __init__(self, seed: Optional[int] = None) -> None:
-        self._rng = random.Random(seed)
+        self._rng: Optional[random.Random] = random.Random(seed)
         self.seed = seed
         #: Number of draw operations served (diagnostics/tests).
         self.draws = 0
@@ -40,7 +40,7 @@ class EntropySource:
     def word(self, bits: int = WORD_BITS) -> int:
         """Return a uniformly random ``bits``-bit unsigned integer."""
         self.draws += 1
-        return self._rng.getrandbits(bits)
+        return self._gen().getrandbits(bits)
 
     def nonzero_word(self, bits: int = WORD_BITS) -> int:
         """Return a uniformly random nonzero ``bits``-bit integer.
@@ -64,7 +64,7 @@ class EntropySource:
     def bytes(self, n: int) -> bytes:
         """Return ``n`` uniformly random bytes."""
         self.draws += 1
-        return self._rng.getrandbits(8 * n).to_bytes(n, "little") if n else b""
+        return self._gen().getrandbits(8 * n).to_bytes(n, "little") if n else b""
 
     def byte(self) -> int:
         """Return one uniformly random byte value (0..255)."""
@@ -73,30 +73,44 @@ class EntropySource:
     def randrange(self, upper: int) -> int:
         """Return a uniform integer in ``[0, upper)``."""
         self.draws += 1
-        return self._rng.randrange(upper)
+        return self._gen().randrange(upper)
 
     def choice(self, items: List):
         """Return a uniformly chosen element of ``items``."""
         self.draws += 1
-        return self._rng.choice(items)
+        return self._gen().choice(items)
 
     def shuffle(self, items: List) -> None:
         """Shuffle ``items`` in place."""
         self.draws += 1
-        self._rng.shuffle(items)
+        self._gen().shuffle(items)
 
     def gauss(self, mu: float, sigma: float) -> float:
         """Return a Gaussian sample (used by workload latency jitter)."""
         self.draws += 1
-        return self._rng.gauss(mu, sigma)
+        return self._gen().gauss(mu, sigma)
 
     def fork(self) -> "EntropySource":
         """Derive an independent child source (used on process fork).
 
-        The child is seeded from this stream so forked processes observe
-        different — but still reproducible — entropy.
+        The child's seed is drawn from this stream now, so forked
+        processes observe different — but still reproducible — entropy.
+        Its generator is seeded from that seed on first use
+        (:meth:`_gen`): most fork children never draw, and the stream a
+        child does draw is the one ``EntropySource(seed)`` gives.
         """
-        return EntropySource(self.word(64))
+        child = EntropySource.__new__(EntropySource)
+        child._rng = None
+        child.seed = self.word(64)
+        child.draws = 0
+        return child
+
+    def _gen(self) -> random.Random:
+        """The generator, seeded here on a forked source's first draw."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(self.seed)
+        return rng
 
 
 def terminator_free_word(source: EntropySource, bits: int = WORD_BITS) -> int:

@@ -308,10 +308,9 @@ class _SliceDriver:
                 tracer.begin_session(plan)
             self._set_attack(plan.is_attack)
             if plan.kind == "benign":
+                payload = builder.benign(plan.payload_length)
                 for _ in range(min(plan.requests, self.remaining)):
-                    self.server.handle_request(
-                        builder.benign(plan.payload_length)
-                    )
+                    self.server.handle_request(payload)
             elif plan.kind == "smash":
                 self.server.handle_request(builder.smash())
             elif plan.kind == "brute":

@@ -124,7 +124,9 @@ class CrashLoopBreaker:
 
     def __init__(self, config: SupervisorConfig, seed: int) -> None:
         self._config = config
-        self._rng = random.Random(f"fleet-breaker-{seed}")
+        self._seed = seed
+        #: Seeded on the first trip: most slices never trip.
+        self._rng: Optional[random.Random] = None
         self.state = BREAKER_CLOSED
         self.streak = 0
         self.trips = 0
@@ -134,6 +136,8 @@ class CrashLoopBreaker:
         self.trips += 1
         exponent = min(self.trips - 1, 16)
         window = min(self._config.backoff_cap, self._config.backoff_base << exponent)
+        if self._rng is None:
+            self._rng = random.Random(f"fleet-breaker-{self._seed}")
         self.remaining = window + self._rng.randrange(self._config.backoff_base)
         self.state = BREAKER_OPEN
         self.streak = 0

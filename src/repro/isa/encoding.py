@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 from typing import Tuple
 
+from ..errors import AssemblerError
 from .instructions import Imm, Instruction, Label, Mem, Operand, Reg, Sym
 
 #: Registers that need a REX.B/R prefix bit (encoded length +0, REX is
@@ -40,8 +41,17 @@ def _imm_bytes(value: int) -> int:
     return 8
 
 
-def _mem_bytes(mem: Mem) -> int:
-    """ModRM + SIB + displacement + segment-override prefix."""
+def _mem_bytes(mem: Operand, instruction: Instruction) -> int:
+    """ModRM + SIB + displacement + segment-override prefix.
+
+    ``mem`` is the operand of an r/m-only form (``push``/``pop``, one-
+    operand ALU ops) once a register has been ruled out; anything but a
+    memory location has no encoding there.
+    """
+    if not isinstance(mem, Mem):
+        raise AssemblerError(
+            f"{instruction}: operand {mem} must be a register or a memory location"
+        )
     size = 1  # ModRM
     if mem.index is not None or mem.base in ("rsp", "r12") or mem.base is None:
         size += 1  # SIB (indexed, rsp/r12 base, or disp32-absolute forms)
@@ -74,12 +84,12 @@ def encoded_length(instruction: Instruction) -> int:
             return 2 if target.name in _EXTENDED else 1
         if isinstance(target, Imm):
             return 1 + _imm_bytes(target.value) if _imm_bytes(target.value) > 1 else 2
-        return 1 + _mem_bytes(target)  # push m64
+        return 1 + _mem_bytes(target, instruction)  # push m64
     if op == "pop":
         target = ops[0]
         if isinstance(target, Reg):
             return 2 if target.name in _EXTENDED else 1
-        return 1 + _mem_bytes(target)
+        return 1 + _mem_bytes(target, instruction)
 
     if op in ("call", "jmp") and ops and isinstance(ops[0], (Sym, Label)):
         return 5  # rel32
@@ -98,13 +108,13 @@ def encoded_length(instruction: Instruction) -> int:
         target = ops[0]
         if isinstance(target, Reg):
             return size + 1
-        return size + _mem_bytes(target)
+        return size + _mem_bytes(target, instruction)
 
     for operand in ops:
         if isinstance(operand, Reg):
             continue  # register operands ride in ModRM, already counted
         if isinstance(operand, Mem):
-            size += _mem_bytes(operand) - 1  # ModRM already counted once
+            size += _mem_bytes(operand, instruction) - 1  # ModRM already counted once
             size += 1
         elif isinstance(operand, Imm):
             width = _imm_bytes(operand.value)

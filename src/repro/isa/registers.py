@@ -87,7 +87,7 @@ class RegisterFile:
 
     def snapshot(self) -> "RegisterFile":
         """Deep copy, used by ``fork`` to duplicate CPU state."""
-        clone = RegisterFile()
+        clone = RegisterFile.__new__(RegisterFile)
         clone.gpr = dict(self.gpr)
         clone.xmm = dict(self.xmm)
         clone.fs_base = self.fs_base

@@ -11,7 +11,12 @@ Responsibilities that matter to the paper's experiments:
   the child.  The hooks model the preload library's wrapped ``fork``:
   vanilla SSP has no hooks, P-SSP refreshes the child's *shadow* canary,
   RAF-SSP refreshes the child's TLS canary itself (which is what breaks
-  its correctness), DynaGuard/DCR walk their canary lists.
+  its correctness), DynaGuard/DCR walk their canary lists.  The child is
+  built from the parent's already-validated parts, not through the
+  general constructors: the COW memory clone copies the segment table
+  as it stands, the process and CPU take their fields from the parent
+  (:meth:`Process.forked_child`), and the child's entropy stream, drawn
+  from the parent's at fork time, seeds its generator on first use.
 * **threads** — a new register file, stack, and TLS block sharing the
   process memory, with thread hooks mirroring the wrapped
   ``pthread_create``.
@@ -223,39 +228,13 @@ class Kernel:
         # image, and with it the decoded step lists; only its JIT
         # state starts cold.
         parent.cpu.flush_jit_cache()
-        child = Process(
-            parent.kernel,
+        child = parent.forked_child(
             pid,
-            parent.name,
             parent.memory.clone(),
-            parent.image,
-            dict(parent.natives),
             parent.entropy.fork(),
-            ppid=parent.pid,
-            dbi_multiplier=parent.cpu.dbi_multiplier,
-            cycle_limit=parent.cpu.cycle_limit,
             tsc_base=max(parent.cpu.tsc.value, self._elapse_wall_time()),
-            fast=parent.cpu.fast,
             fault_plane=self.fault_plane,
         )
-        child.entry = parent.entry
-        child.binary = getattr(parent, "binary", None)
-        child.preloads = list(getattr(parent, "preloads", ()))
-        child.registers.gpr.update(parent.registers.gpr)
-        child.registers.xmm.update(parent.registers.xmm)
-        child.registers.fs_base = parent.registers.fs_base
-        child.registers.rip = parent.registers.rip
-        child.registers.zf = parent.registers.zf
-        child.registers.sf = parent.registers.sf
-        child.registers.cf = parent.registers.cf
-        child.stdin = bytearray(parent.stdin)
-        child.brk = parent.brk
-        child.fork_hooks = list(parent.fork_hooks)
-        child.thread_hooks = list(parent.thread_hooks)
-        if hasattr(parent, "jmp_bufs"):
-            # jmp_buf contents refer to addresses valid in the cloned
-            # address space, so the child may longjmp through them too.
-            child.jmp_bufs = dict(parent.jmp_bufs)
         self.processes[pid] = child
         self.fork_count += 1
         # Fork is all-or-nothing: if a hook fails (e.g. the preload's

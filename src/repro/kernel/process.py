@@ -87,6 +87,96 @@ class Process:
         fast: bool = True,
         fault_plane=None,
     ) -> None:
+        registers = RegisterFile()
+        # Anchor to the *actual* segment placement (ASLR may have slid the
+        # bases away from the layout constants).
+        registers.fs_base = memory.segment("tls").base
+        initial_rsp = memory.segment("stack").end - 0x100
+        registers.write("rsp", initial_rsp)
+        registers.write("rbp", initial_rsp)
+        cpu = CPU(
+            memory,
+            image,
+            natives,
+            registers=registers,
+            tsc=TimeStampCounter(tsc_base, plane=fault_plane),
+            rdrand=RdRandDevice(entropy, plane=fault_plane),
+            cycle_limit=cycle_limit,
+            dbi_multiplier=dbi_multiplier,
+            fast=fast,
+        )
+        self._bind(
+            kernel, pid, ppid, name, memory, image, natives, entropy,
+            fault_plane, registers, cpu,
+            fork_hooks=[], thread_hooks=[], stdin=bytearray(),
+            brk=memory.segment("heap").base,
+        )
+
+    def forked_child(
+        self,
+        pid: int,
+        memory: Memory,
+        entropy: EntropySource,
+        *,
+        tsc_base: int,
+        fault_plane,
+    ) -> "Process":
+        """This process's fork child, built from its validated parts.
+
+        ``memory`` (the COW clone) and ``entropy`` (the child's stream)
+        come from the kernel; everything else is copied or shared from
+        this process: registers, natives, hooks, stdin, heap break,
+        identity, and the CPU's fixed configuration
+        (:meth:`~repro.machine.cpu.CPU.fork_twin`).  Nothing is derived
+        from the memory layout again, so the constructor's segment
+        lookups and register setup are skipped.
+        """
+        natives = dict(self.natives)
+        registers = self.registers.snapshot()
+        cpu = self.cpu.fork_twin(
+            memory, natives, registers,
+            TimeStampCounter(tsc_base, plane=fault_plane),
+            RdRandDevice(entropy, plane=fault_plane),
+        )
+        child = Process.__new__(Process)
+        child._bind(
+            self.kernel, pid, self.pid, self.name, memory, self.image,
+            natives, entropy, fault_plane, registers, cpu,
+            fork_hooks=list(self.fork_hooks),
+            thread_hooks=list(self.thread_hooks),
+            stdin=bytearray(self.stdin),
+            brk=self.brk,
+        )
+        child.entry = self.entry
+        child.binary = getattr(self, "binary", None)
+        child.preloads = list(getattr(self, "preloads", ()))
+        if hasattr(self, "jmp_bufs"):
+            # jmp_buf contents refer to addresses valid in the cloned
+            # address space, so the child may longjmp through them too.
+            child.jmp_bufs = dict(self.jmp_bufs)
+        return child
+
+    def _bind(
+        self,
+        kernel,
+        pid: int,
+        ppid: int,
+        name: str,
+        memory: Memory,
+        image,
+        natives: Dict[str, NativeFunction],
+        entropy: EntropySource,
+        fault_plane,
+        registers: RegisterFile,
+        cpu: CPU,
+        *,
+        fork_hooks: List[Callable[["Process", "Process"], None]],
+        thread_hooks: List[Callable[["Process", "Process"], None]],
+        stdin: bytearray,
+        brk: int,
+    ) -> None:
+        """Set every field of a new process (the one list of them, shared
+        by the constructor and :meth:`forked_child`)."""
         self.kernel = kernel
         #: Fault-injection plane shared with the owning kernel (None in
         #: production deployments); the devices below consult it.
@@ -101,42 +191,24 @@ class Process:
         self.state = READY
         self.exit_status = 0
         self.crash: Optional[MachineFault] = None
-
-        self.registers = RegisterFile()
-        # Anchor to the *actual* segment placement (ASLR may have slid the
-        # bases away from the layout constants).
-        self.registers.fs_base = memory.segment("tls").base
-        initial_rsp = memory.segment("stack").end - 0x100
-        self.registers.write("rsp", initial_rsp)
-        self.registers.write("rbp", initial_rsp)
-
-        self.cpu = CPU(
-            memory,
-            image,
-            natives,
-            registers=self.registers,
-            tsc=TimeStampCounter(tsc_base, plane=fault_plane),
-            rdrand=RdRandDevice(entropy, plane=fault_plane),
-            cycle_limit=cycle_limit,
-            dbi_multiplier=dbi_multiplier,
-            fast=fast,
-        )
+        self.registers = registers
+        self.cpu = cpu
         #: Back-reference so native handlers can reach kernel services.
-        self.cpu.process = self
+        cpu.process = self
         #: An armed fault plane pins the CPU to per-step execution (the
         #: trace-JIT tier side-exits and stays cold while it is set).
-        self.cpu.fault_plane = fault_plane
+        cpu.fault_plane = fault_plane
 
         #: Callbacks applied to a freshly forked child (the preload
         #: library's wrapped ``fork`` registers its TLS refresh here).
-        self.fork_hooks: List[Callable[["Process", "Process"], None]] = []
+        self.fork_hooks = fork_hooks
         #: Callbacks applied to a freshly created thread.
-        self.thread_hooks: List[Callable[["Process", "Process"], None]] = []
+        self.thread_hooks = thread_hooks
 
         #: Standard streams and a bump allocator for libc.
-        self.stdin = bytearray()
+        self.stdin = stdin
         self.stdout = bytearray()
-        self.brk = memory.segment("heap").base
+        self.brk = brk
 
         #: Threads spawned by this process (simulated pthread contexts).
         self.threads: List["Process"] = []

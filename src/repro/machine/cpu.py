@@ -131,27 +131,81 @@ class CPU:
         dbi_multiplier: float = 1.0,
         fast: bool = True,
     ) -> None:
+        self._bind(
+            memory,
+            image,
+            natives if natives is not None else {},
+            registers or RegisterFile(),
+            tsc or TimeStampCounter(),
+            rdrand,
+            cycle_limit,
+            dbi_multiplier,
+            fast,
+            _jit.jit_enabled(),
+        )
+
+    def fork_twin(
+        self,
+        memory: Memory,
+        natives: Dict[str, NativeFunction],
+        registers: RegisterFile,
+        tsc: TimeStampCounter,
+        rdrand: RdRandDevice,
+    ) -> "CPU":
+        """A fork child's CPU: this CPU's fixed configuration over the
+        child's own address space, natives, registers and devices.
+
+        The image, cycle limit, DBI multiplier and both tier flags
+        (``fast``, ``jit``) come straight from this CPU, so the child
+        skips the constructor's defaults and its ``REPRO_JIT`` read: it
+        runs on the tiers its parent was born with.  Run state, caches
+        and observers (trace, watch, profiler) start empty, exactly as
+        on a constructed CPU.
+        """
+        twin = CPU.__new__(CPU)
+        twin._bind(
+            memory, self.image, natives, registers, tsc, rdrand,
+            self.cycle_limit, self.dbi_multiplier, self.fast, self.jit,
+        )
+        return twin
+
+    def _bind(
+        self,
+        memory: Memory,
+        image,
+        natives: Dict[str, NativeFunction],
+        registers: RegisterFile,
+        tsc: TimeStampCounter,
+        rdrand: Optional[RdRandDevice],
+        cycle_limit: int,
+        dbi_multiplier: float,
+        fast: bool,
+        jit: bool,
+    ) -> None:
+        """Set every field of a new CPU (the one list of them, shared by
+        the constructor and :meth:`fork_twin`)."""
         self.memory = memory
         self.image = image
-        self.natives = natives if natives is not None else {}
-        self.registers = registers or RegisterFile()
+        self.natives = natives
+        self.registers = registers
         #: Per-process state the decoded steps reach through their CPU
         #: argument, bound once here; ``registers`` and ``memory`` are
         #: never reassigned, so these never go stale.
-        self.gpr = self.registers.gpr
+        self.gpr = registers.gpr
         self.read_word = memory.read_word
         self.write_word = memory.write_word
         self.read_byte = memory.read_byte
         self.write_byte = memory.write_byte
-        self.tsc = tsc or TimeStampCounter()
+        self.tsc = tsc
         self.rdrand = rdrand
         self.cycle_limit = cycle_limit
         self.dbi_multiplier = dbi_multiplier
         self.fast = fast
         #: Trace-JIT tier (repro.machine.jit): profile control-transfer
         #: arrivals on the fast path and compile hot straight-line runs
-        #: into superblocks.  ``REPRO_JIT=0`` disables it at CPU birth.
-        self.jit = _jit.jit_enabled()
+        #: into superblocks.  ``REPRO_JIT=0`` disables it at CPU birth;
+        #: a fork child inherits its parent CPU's setting.
+        self.jit = jit
         #: Fault-injection plane, set by the owning Process.  While armed
         #: the JIT stays out of the way: every step runs in the generic
         #: loop so injected faults land at the same points as ``fast=False``.

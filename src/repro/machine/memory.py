@@ -271,9 +271,11 @@ class Segment:
         Freezes this segment's private pages so both twins share every
         page; the first write on either side faults in a private copy.
         The caller owning the fast lanes (:class:`Memory`) must drop them
-        after cloning — freezing orphans any cached private buffer.
+        after cloning — freezing orphans any cached private buffer — and
+        counts the shared pages (``memory_pages_shared_total``).
         """
-        self.freeze()
+        if self._private:
+            self.freeze()
         twin = Segment.__new__(Segment)
         twin.name = self.name
         twin.base = self.base
@@ -283,7 +285,6 @@ class Segment:
         twin.executable = self.executable
         twin._source = self._source
         twin._private = dict(self._private)
-        _PAGES_SHARED.inc(self.page_count)
         return twin
 
     def clone_eager(self) -> "Segment":
@@ -351,10 +352,6 @@ class Memory:
     def segment(self, name: str) -> Segment:
         """Look a segment up by name."""
         return self._segments[name]
-
-    def has_segment(self, name: str) -> bool:
-        """True if a segment with ``name`` is mapped."""
-        return name in self._segments
 
     def segments(self) -> Iterator[Segment]:
         """Iterate over segments in address order."""
@@ -508,15 +505,26 @@ class Memory:
         untouched pages shared between parent and child.  ``eager=True``
         restores the historical deep copy — bit-identical behaviour,
         linear cost — for differential tests.
+
+        The twins take this layout as it stands: it passed the overlap
+        check when each segment was mapped, so the clone copies the
+        segment table and the address-sorted list instead of mapping
+        segment by segment.
         """
         copy = Memory()
-        for segment in self._segments.values():
-            copy.map_segment(
-                segment.clone_eager() if eager else segment.clone()
-            )
-        if not eager:
+        twins = copy._segments
+        if eager:
+            for name, segment in self._segments.items():
+                twins[name] = segment.clone_eager()
+        else:
+            shared = 0
+            for name, segment in self._segments.items():
+                twins[name] = segment.clone()
+                shared += len(segment._source)
             # Freezing orphaned any private page a lane may still cache.
             self.drop_lanes()
+            _PAGES_SHARED.inc(shared)
+        copy._sorted = [twins[segment.name] for segment in self._sorted]
         return copy
 
     def page_stats(self) -> Dict[str, int]:

@@ -192,7 +192,7 @@ def _rebuild_image(binary, preloads, segments, code_base: int) -> LoadedImage:
 # ---------------------------------------------------------------------------
 
 def _entropy_state(entropy) -> Dict[str, object]:
-    version, internal, gauss = entropy._rng.getstate()
+    version, internal, gauss = entropy._gen().getstate()
     return {
         "seed": entropy.seed,
         "draws": entropy.draws,
@@ -211,7 +211,7 @@ def _restore_entropy(doc: Dict[str, object]):
     entropy.seed = doc["seed"]
     entropy.draws = doc["draws"]
     version, internal, gauss = doc["state"]
-    entropy._rng.setstate((
+    entropy._gen().setstate((
         version,
         tuple(internal),
         None if gauss is None else float.fromhex(gauss),

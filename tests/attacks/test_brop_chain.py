@@ -58,7 +58,7 @@ class TestFullChainAgainstSSP:
         sane_rbp = child.registers.read("rsp")
         kernel.reap(child)
         payload = builder.with_canaries(
-            {frame.canary_slots[0]: report.recovered_words[0]},
+            {frame.canary_slots[0]: int.from_bytes(report.recovered[:8], "little")},
             new_return=gadget,
             new_rbp=sane_rbp,
         )

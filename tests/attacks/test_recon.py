@@ -59,7 +59,7 @@ class TestBlindChain:
         assert recon.success
         assert report is not None and report.success
         worker = server.worker()
-        assert report.recovered_words[0] == worker.tls.canary
+        assert int.from_bytes(report.recovered[:8], "little") == worker.tls.canary
 
     def test_blind_attack_stalls_on_pssp(self):
         server, _ = make_server("pssp")

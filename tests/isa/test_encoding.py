@@ -1,8 +1,10 @@
 """Byte-length model: the rewriter's layout math depends on these."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import AssemblerError
 from repro.isa.assembler import assemble_one
 from repro.isa.encoding import encode, encoded_length, function_length
 from repro.isa.instructions import Imm, Label, Mem, Reg, Sym, ins
@@ -91,6 +93,25 @@ class TestEncode:
     def test_function_length_sums(self):
         body = [ins("nop"), ins("ret")]
         assert function_length(body) == 2
+
+
+
+class TestUnencodableOperands:
+    """r/m-only forms take a register or memory, never an immediate or
+    symbol: the length model says so as a typed error naming the
+    instruction, not an ``AttributeError`` from deep inside it."""
+
+    def test_dec_immediate(self):
+        with pytest.raises(AssemblerError, match=r"dec \$0"):
+            encoded_length(ins("dec", Imm(0)))
+
+    def test_pop_immediate(self):
+        with pytest.raises(AssemblerError, match=r"pop \$1"):
+            encoded_length(ins("pop", Imm(1)))
+
+    def test_push_symbol(self):
+        with pytest.raises(AssemblerError, match="push <win>"):
+            encoded_length(ins("push", Sym("win")))
 
 
 _SAFE_REGS = st.sampled_from(["rax", "rcx", "rdx", "rdi", "rsi", "r8", "r11"])

@@ -38,7 +38,7 @@ class TestThreadContexts:
     def test_thread_has_own_stack_segment(self):
         kernel, process = spawn(SIMPLE)
         thread = kernel.create_thread(process)
-        assert process.memory.has_segment("stack_t1")
+        assert process.memory.segment("stack_t1").size == 0x20000
         assert thread.registers.read("rsp") != process.registers.read("rsp")
 
     def test_thread_has_own_tls_with_same_canary(self):

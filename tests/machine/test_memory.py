@@ -24,7 +24,7 @@ def memory():
 class TestMapping:
     def test_standard_segments_present(self, memory):
         for name in ("data", "heap", "tls", "stack"):
-            assert memory.has_segment(name)
+            assert memory.segment(name).name == name
 
     def test_overlap_rejected(self, memory):
         with pytest.raises(ValueError):

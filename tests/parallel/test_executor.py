@@ -5,6 +5,8 @@ them up by reference; the deterministic ``attempt`` argument (1 on the
 first try, 2 after the re-queue) lets them fail on exactly one attempt.
 """
 
+import gc
+import multiprocessing
 import os
 import signal
 import time
@@ -45,6 +47,13 @@ def _suicidal_worker(config, seeds, attempt):
 def _sleepy_worker(config, seeds, attempt):
     time.sleep(config["sleep"])
     return list(seeds)
+
+
+def _freeze_count_worker(config, seeds, attempt):
+    """The worker's frozen-object count, after one crash on ``poison``."""
+    if attempt == 1 and config.get("poison") in seeds:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return gc.get_freeze_count()
 
 
 class TestRunShards:
@@ -125,3 +134,30 @@ class TestRunShards:
     def test_empty_plan(self):
         outcomes, timed_out = run_shards(_double_worker, {}, [], jobs=2)
         assert outcomes == [] and not timed_out
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="only fork-started workers inherit the parent's heap",
+)
+class TestHeapFreeze:
+    def test_workers_inherit_a_frozen_heap_and_the_parent_thaws(self):
+        # Shard 3 kills its worker once, so the rebuilt pool's workers
+        # are forked frozen too.
+        outcomes, _ = run_shards(
+            _freeze_count_worker, {"poison": 3}, plan_shards(0, 6), jobs=2,
+        )
+        assert all(o.status == STATUS_OK for o in outcomes)
+        assert min(o.value for o in outcomes) > 0
+        assert gc.get_freeze_count() == 0
+
+    def test_a_callers_own_freeze_is_left_alone(self):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            run_shards(_double_worker, {}, plan_shards(0, 4), jobs=2)
+            # Not thawed, and nothing new frozen (frozen objects can still
+            # be freed by reference counting).
+            assert 0 < gc.get_freeze_count() <= frozen
+        finally:
+            gc.unfreeze()
