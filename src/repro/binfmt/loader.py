@@ -27,18 +27,11 @@ from .elf import Binary
 class DecodeStore(dict):
     """Decoded step lists, ``dbi_multiplier -> {name: DecodedFunction}``.
 
-    Every step in the store was decoded against :attr:`image`: steps close
-    over its ``resolve``/``function``/``address_of``, so they are valid
-    for any image whose layout and ``Function`` bodies equal it.  That is
-    the image itself, or, for the store a spawn template hands out, every
-    unpatched clone of the template (see :meth:`LoadedImage.clone`).
+    A dict that can be weakly referenced: a spawn template holds the
+    store it hands its clones only weakly (see :meth:`LoadedImage.clone`).
     """
 
-    __slots__ = ("image", "__weakref__")
-
-    def __init__(self, image: "LoadedImage") -> None:
-        super().__init__()
-        self.image = image
+    __slots__ = ("__weakref__",)
 
 
 class LoadedImage:
@@ -50,7 +43,12 @@ class LoadedImage:
     * ``address_of(name, index=0)`` — code/data symbol address;
     * ``resolve(address)`` — map an address back to ``(Function, index)``,
       raising :class:`InvalidJump` when the address is not an instruction
-      boundary (the usual fate of a corrupted return address).
+      boundary (the usual fate of a corrupted return address);
+    * ``shared_decodes`` — the :class:`DecodeStore` its CPUs decode into.
+
+    :func:`load` is the only code that adds functions or data symbols;
+    once it returns, the image and its ``Function`` bodies never change,
+    so a decoded step stays valid for as long as the image lives.
     """
 
     def __init__(self, code_base: int = CODE_BASE) -> None:
@@ -62,22 +60,11 @@ class LoadedImage:
         self._entry_names: List[str] = []
         self._data_symbols: Dict[str, int] = {}
         self._next_code = code_base
-        #: Monotonic counter bumped on every code change (new function,
-        #: rewriter patch via ``add_function(replace=True)``, or
-        #: :meth:`invalidate_code`).  Each bump gives this image a fresh
-        #: :attr:`shared_decodes`, and every CPU running on it drops its
-        #: views of the old step lists the next time it switches
-        #: function.  Loaded ``Function`` bodies must otherwise be
-        #: treated as immutable; in-place patches must go through
-        #: :meth:`add_function` (or call :meth:`invalidate_code`) to be
-        #: picked up.
-        self.code_generation = 0
         #: Decoded step lists shared by every CPU that runs on this image
         #: (the booted parent, its fork children and its threads), and by
-        #: every live unpatched clone of the same spawn template.  Filled
-        #: by ``CPU._decoded``, which decodes against ``.image`` of the
-        #: store: this image, or the template it was cloned from.
-        self.shared_decodes = DecodeStore(self)
+        #: every live clone of the same spawn template.  Filled by
+        #: ``CPU._decoded``.
+        self.shared_decodes = DecodeStore()
         #: The store handed to this image's clones, held weakly: each
         #: clone holds it strongly, so it lives exactly as long as some
         #: clone does (see :meth:`clone`).
@@ -85,79 +72,43 @@ class LoadedImage:
 
     # -- construction --------------------------------------------------------
 
-    def add_function(self, function: Function, *, replace: bool = False) -> int:
+    def add_function(self, function: Function) -> int:
         """Lay out a function at the next free code address.
 
-        With ``replace=True`` an existing definition is shadowed *at the
-        same address* if the new body fits in the old footprint (the
-        rewriter's layout-preservation constraint) or relocated otherwise.
-        Returns the entry address.
+        Addresses only grow, so the entry table stays sorted by
+        appending.  Returns the entry address.
         """
-        if function.name in self._functions and not replace:
+        if function.name in self._functions:
             raise LinkError(f"symbol {function.name!r} already loaded")
         offsets = [0]
         for instruction in function.body:
             offsets.append(offsets[-1] + encoded_length(instruction))
-        if function.name in self._functions:
-            entry, old_offsets = self._layout[function.name]
-            if offsets[-1] > old_offsets[-1]:
-                entry = self._next_code
-                self._next_code += offsets[-1]
-                self._insert_entry(entry, function.name)
-        else:
-            entry = self._next_code
-            self._next_code += offsets[-1]
-            self._insert_entry(entry, function.name)
+        entry = self._next_code
+        self._next_code += offsets[-1]
+        self._entries.append(entry)
+        self._entry_names.append(function.name)
         self._functions[function.name] = function
         self._layout[function.name] = (entry, offsets)
-        self.invalidate_code()
         return entry
 
     def clone(self) -> "LoadedImage":
-        """Shallow twin for spawning from a warmed image.
+        """Twin for spawning from a warmed image.
 
-        Layout tables are copied (so ``add_function(replace=True)``
-        patches stay private to one process), while the immutable
-        ``Function`` bodies are shared — the same sharing ``fork``
-        already relies on when parent and child reuse one image.
-
-        The decoded steps are shared too: every clone alive at once gets
-        the same :attr:`shared_decodes`, decoded against this image (the
-        spawn template, which must not be patched once cloned).  This
-        image holds that store only weakly, so it goes when the last
-        clone does and a template never keeps decodes alive by itself.
-        A clone that patches its code detaches (:meth:`invalidate_code`).
+        The twin shares this image's tables and ``Function`` bodies,
+        which never change after :func:`load`.  Every clone alive at once
+        also gets the same :attr:`shared_decodes`.  This image holds that
+        store only weakly, so it goes when the last clone does and a
+        template never keeps decodes alive by itself.
         """
-        twin = LoadedImage(self.code_base)
-        twin._functions = dict(self._functions)
-        twin._layout = dict(self._layout)
-        twin._entries = list(self._entries)
-        twin._entry_names = list(self._entry_names)
-        twin._data_symbols = dict(self._data_symbols)
-        twin._next_code = self._next_code
-        twin.code_generation = self.code_generation
+        twin = LoadedImage.__new__(LoadedImage)
+        vars(twin).update(vars(self))
         store = self._clone_decodes() if self._clone_decodes else None
         if store is None:
-            store = DecodeStore(self)
+            store = DecodeStore()
             self._clone_decodes = weakref.ref(store)
         twin.shared_decodes = store
+        twin._clone_decodes = None
         return twin
-
-    def invalidate_code(self) -> None:
-        """Force CPUs to re-decode: call after mutating a loaded body in
-        place (the rewriter's splice path does this for you).
-
-        The image detaches from the store it shared: it gets a fresh one,
-        decoded against itself, and any sibling clones keep theirs.
-        """
-        self.code_generation += 1
-        self.shared_decodes = DecodeStore(self)
-        self._clone_decodes = None
-
-    def _insert_entry(self, entry: int, name: str) -> None:
-        position = bisect.bisect_left(self._entries, entry)
-        self._entries.insert(position, entry)
-        self._entry_names.insert(position, name)
 
     def add_data_symbol(self, name: str, address: int) -> None:
         """Record a data symbol's load address."""
@@ -168,10 +119,6 @@ class LoadedImage:
     def function(self, name: str) -> Optional[Function]:
         """Simulated function for ``name`` or ``None``."""
         return self._functions.get(name)
-
-    def functions(self) -> Iterable[Function]:
-        """All loaded functions."""
-        return self._functions.values()
 
     def address_of(self, name: str, index: int = 0) -> int:
         """Address of instruction ``index`` in function ``name``, or of a
@@ -203,10 +150,6 @@ class LoadedImage:
         if index >= len(self._functions[name].body):
             raise InvalidJump(f"jump past the end of {name} at {address:#x}")
         return self._functions[name], index
-
-    def entry_of(self, name: str) -> int:
-        """Entry address of a function (convenience)."""
-        return self.address_of(name, 0)
 
     def __contains__(self, name: str) -> bool:
         return name in self._functions or name in self._data_symbols

@@ -243,10 +243,6 @@ class ChaosReport:
     shard_attempts: Dict[str, int] = field(default_factory=dict)
 
     @property
-    def completed_seeds(self) -> "set[int]":
-        return {run.seed for run in self.runs if not run.case}
-
-    @property
     def violating_runs(self) -> List[ChaosRun]:
         return [run for run in self.runs if not run.ok]
 

@@ -287,6 +287,9 @@ class Kernel:
             fast=process.cpu.fast,
             fault_plane=self.fault_plane,
         )
+        # Like a fork child, a thread runs on its process's tiers, not
+        # on whatever REPRO_JIT reads now.
+        thread.cpu.jit = process.cpu.jit
         thread.entry = process.entry
         thread.binary = getattr(process, "binary", None)
         thread.registers.fs_base = tls_base

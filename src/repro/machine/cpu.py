@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
 from .. import telemetry
 from ..errors import (
@@ -96,10 +96,9 @@ class CPU:
     memory:
         The process address space.
     image:
-        Loaded code image; must provide ``function(name)``,
-        ``address_of(name, index)``, ``resolve(address)``,
-        ``lookup(name)``, ``code_generation``, ``invalidate_code()`` and
-        the ``shared_decodes`` store, a
+        Loaded code image, fixed once loaded; must provide
+        ``function(name)``, ``address_of(name, index)``,
+        ``resolve(address)`` and the ``shared_decodes`` store, a
         :class:`~repro.binfmt.loader.DecodeStore` (see
         :class:`repro.binfmt.loader.LoadedImage`).
     natives:
@@ -230,14 +229,10 @@ class CPU:
         self.profiler = None
         self._current: Optional[Function] = None
         #: This CPU's views of the image's shared step lists: function
-        #: name -> DecodedView, valid for one image generation and one
-        #: DBI multiplier (see _decoded).
+        #: name -> DecodedView (see _decoded).
         self._decode_cache: Dict[str, DecodedView] = {}
-        self._decode_generation: Optional[int] = None
-        self._decode_dbi: Optional[float] = None
-        #: Canary-site tables for the slow loop, keyed by function name
-        #: and invalidated on object identity (mirrors _decoded).
-        self._site_cache: Dict[str, Tuple[Function, Dict[int, CanarySite]]] = {}
+        #: Canary-site tables for the slow loop, keyed by function name.
+        self._site_cache: Dict[str, Dict[int, CanarySite]] = {}
 
     @property
     def trace(self) -> Optional[Callable[[str, int, Instruction], None]]:
@@ -457,12 +452,12 @@ class CPU:
             _RUN_CYCLES.observe(cycles)
 
     def _canary_sites(self, function: Function) -> Dict[int, CanarySite]:
-        """``function``'s canary-site table, cached by name and identity."""
-        cached = self._site_cache.get(function.name)
-        if cached is not None and cached[0] is function:
-            return cached[1]
-        sites = telemetry.canary_sites(function)
-        self._site_cache[function.name] = (function, sites)
+        """``function``'s canary-site table, cached by name."""
+        sites = self._site_cache.get(function.name)
+        if sites is None:
+            sites = self._site_cache[function.name] = (
+                telemetry.canary_sites(function)
+            )
         return sites
 
     def _run_loop_slow(self) -> None:
@@ -509,24 +504,13 @@ class CPU:
 
     # -- decode-cache fast path ------------------------------------------
 
-    def flush_decode_cache(self) -> None:
-        """Drop every cached decode (e.g. after mutating code in place).
-
-        The step lists are shared through the image, so this invalidates
-        the image's code: every CPU running on it re-decodes.
-        """
-        self.flush_jit_cache()
-        self._decode_cache.clear()
-        self.image.invalidate_code()
-
     def flush_jit_cache(self) -> None:
         """Drop compiled superblocks (and hotness counts), keep decodes.
 
-        Called by :meth:`flush_decode_cache` and by the kernel at a COW
-        ``clone()`` boundary — the superblocks would stay *correct* (they
-        bind the surviving ``Memory`` object's accessors), but dropping
-        them keeps the invalidation story uniform: no compiled code
-        outlives a memory-sharing event.
+        Called by the kernel at a COW ``clone()`` boundary — the
+        superblocks would stay *correct* (they bind the surviving
+        ``Memory`` object's accessors), but dropping them means no
+        compiled code outlives a memory-sharing event.
         """
         dropped = 0
         for decoded in self._decode_cache.values():
@@ -546,37 +530,25 @@ class CPU:
 
         Steps take their CPU as an argument, so one decode serves every
         CPU that runs on the image: the booted parent, its fork children
-        and its threads, and every live unpatched clone of the same spawn
-        image.  The image's ``shared_decodes`` store holds the step
-        lists, keyed by ``dbi_multiplier``, and names the image they are
-        decoded against (``store.image``: this image, or its spawn
-        template); the image swaps in a fresh store of its own whenever
-        ``code_generation`` moves.  This CPU keeps one
+        and its threads, and every live clone of the same spawn image.
+        The image's ``shared_decodes`` store holds the step lists, keyed
+        by ``dbi_multiplier``; a loaded image never changes, so a step
+        list is decoded once and never goes stale.  This CPU keeps one
         :class:`DecodedView` per function — the shared step list plus its
-        own trace-JIT state — and drops them all when the code generation
-        or its DBI multiplier changes.  A single entry is refreshed when
-        the image maps the name to a different ``Function`` object.
-        Telemetry state and the CPU's watch are read by the canary probe
-        at run time, so neither is part of the key.
+        own trace-JIT state.  Telemetry state and the CPU's watch are
+        read by the canary probe at run time, so neither is part of the
+        key.
         """
-        views = self._decode_cache
-        generation = self.image.code_generation
-        dbi = self.dbi_multiplier
-        if generation != self._decode_generation or dbi != self._decode_dbi:
-            views.clear()
-            self._decode_generation = generation
-            self._decode_dbi = dbi
         name = function.name
-        view = views.get(name)
-        if view is not None and view.function is function:
-            return view
-        store = self.image.shared_decodes
-        shared = store.setdefault(dbi, {})
-        decoded = shared.get(name)
-        if decoded is None or decoded.function is not function:
-            decoder = FunctionDecoder(store.image, _DISPATCH, dbi)
-            decoded = shared[name] = decoder.decode(function)
-        view = views[name] = DecodedView(decoded)
+        view = self._decode_cache.get(name)
+        if view is None:
+            dbi = self.dbi_multiplier
+            shared = self.image.shared_decodes.setdefault(dbi, {})
+            decoded = shared.get(name)
+            if decoded is None:
+                decoder = FunctionDecoder(self.image, _DISPATCH, dbi)
+                decoded = shared[name] = decoder.decode(function)
+            view = self._decode_cache[name] = DecodedView(decoded)
         return view
 
     def _run_loop_fast(self) -> None:

@@ -48,8 +48,9 @@ accessors (``C.read_word``, ``C.write_word``, ``C.read_byte``,
 ``C.write_byte``), which the CPU binds once at construction.  One
 :class:`DecodedFunction` therefore serves every CPU that runs on the same
 image — the booted parent, its fork children and its threads, and every
-live unpatched clone of the same spawn image — until the image's
-``code_generation`` moves (see ``CPU._decoded``).
+live clone of the same spawn image — for as long as the image lives: a
+loaded image never changes, so a step never goes stale (see
+``CPU._decoded``).
 
 Canary sites (:func:`repro.telemetry.canary_sites`: group leaders and
 audited C0 stores) carry one extra wrapper that runs the shared
@@ -158,9 +159,8 @@ class DecodedView:
     ``jit_blocks`` maps dispatch indices to compiled superblocks (or
     ``None`` for rejected anchors) and ``jit_counts`` holds arrival counts
     for not-yet-hot anchors — because a superblock binds one CPU's
-    accessors.  Every event that drops the CPU's views (``code_generation``
-    bump, DBI change, explicit flush) drops the superblocks along with
-    them.
+    accessors.  The view lives as long as its CPU; the kernel empties
+    its JIT state at a fork (``CPU.flush_jit_cache``).
     """
 
     __slots__ = ("function", "steps", "sites", "jit_blocks", "jit_counts")

@@ -66,6 +66,11 @@ stream of unique programs (the chaos campaign) keeps at most that many
 code objects alive.
 ``jit_blocks_compiled_total`` still counts every block a CPU compiles.
 
+A CPU's superblocks hang on its :class:`DecodedView` of each function.
+Loaded code never changes, so no code event drops them; the kernel
+drops a parent's superblocks when a fork COW-clones its memory
+(``CPU.flush_jit_cache``, counted in ``jit_invalidations_total``).
+
 ``REPRO_JIT=0`` disables the tier entirely (the decoded steps still run,
 one per instruction); the slow loop remains the semantic oracle either
 way.

@@ -476,7 +476,7 @@ class SpawnImage:
         self.stack_size = stack_size
 
     def instantiate(self) -> Tuple[Memory, LoadedImage]:
-        """A private (COW) memory and code layout for one new process."""
+        """A private (COW) memory and an image clone for one new process."""
         return self.memory.clone(eager=False), self.image.clone()
 
 
@@ -524,15 +524,4 @@ def load_spawn_image(data: bytes) -> SpawnImage:
     return SpawnImage(
         binary, preloads, memory, image, header["code_base"],
         header["stack_size"],
-    )
-
-
-def verify_roundtrip(process) -> List[str]:
-    """Snapshot → restore → compare; returns divergence names (ideally [])."""
-    from .debug import architectural_snapshot, snapshot_divergences
-
-    image = snapshot_process(process)
-    restored = restore_process(image)
-    return snapshot_divergences(
-        architectural_snapshot(process), architectural_snapshot(restored)
     )

@@ -1,4 +1,6 @@
-"""Loader: address assignment, resolution, interposition."""
+"""Loader: address assignment, resolution, interposition, clones."""
+
+import gc
 
 import pytest
 
@@ -32,14 +34,14 @@ g:
 class TestLayout:
     def test_functions_get_increasing_addresses(self):
         image = load(binary_from_asm(SOURCE), standard_memory())
-        assert image.entry_of("f") == CODE_BASE
-        assert image.entry_of("g") > image.entry_of("f")
+        assert image.address_of("f") == CODE_BASE
+        assert image.address_of("g") > image.address_of("f")
 
     def test_instruction_offsets_follow_encoding(self):
         binary = binary_from_asm(SOURCE)
         image = load(binary, standard_memory())
         f = binary.function("f")
-        expected = image.entry_of("f") + encoded_length(f.body[0])
+        expected = image.address_of("f") + encoded_length(f.body[0])
         assert image.address_of("f", 1) == expected
 
     def test_resolve_roundtrip_every_instruction(self):
@@ -62,7 +64,7 @@ class TestLayout:
         with pytest.raises(InvalidJump):
             image.resolve(0x10)
         with pytest.raises(InvalidJump):
-            image.resolve(image.entry_of("g") + 0x10000)
+            image.resolve(image.address_of("g") + 0x10000)
 
     def test_unknown_symbol_is_link_error(self):
         image = load(binary_from_asm(SOURCE), standard_memory())
@@ -104,13 +106,50 @@ class TestInterposition:
         with pytest.raises(LinkError):
             image.add_function(binary.function("f"))
 
-    def test_replace_relocates_bigger_body(self):
-        image = LoadedImage()
-        small = binary_from_asm("f:\n ret\n").function("f")
-        big = binary_from_asm(
-            "f:\n push rbp\n mov rbp, rsp\n leave\n ret\n"
-        ).function("f")
-        first_entry = image.add_function(small)
-        second_entry = image.add_function(big, replace=True)
-        assert second_entry > first_entry
-        assert image.function("f") is big
+    def test_add_function_has_no_replace_mode(self):
+        image = load(binary_from_asm(SOURCE), standard_memory())
+        with pytest.raises(TypeError):
+            image.add_function(image.function("f"), replace=True)
+
+
+def loaded_template():
+    binary = binary_from_asm(SOURCE)
+    binary.rodata["msg"] = b"hi\x00"
+    return binary, load(binary, standard_memory())
+
+
+class TestClone:
+    def test_clone_resolves_like_its_template(self):
+        binary, template = loaded_template()
+        twin = template.clone()
+        assert twin.code_base == template.code_base
+        assert twin.address_of("msg") == template.address_of("msg")
+        for name in ("f", "g"):
+            assert twin.function(name) is template.function(name)
+            for index in range(len(binary.function(name))):
+                address = template.address_of(name, index)
+                assert twin.address_of(name, index) == address
+                assert twin.resolve(address) == template.resolve(address)
+        assert "msg" in twin and "missing" not in twin
+
+    def test_clone_shares_the_templates_tables(self):
+        _, template = loaded_template()
+        twin = template.clone()
+        assert twin._functions is template._functions
+        assert twin._layout is template._layout
+        assert twin._entries is template._entries
+        assert twin._entry_names is template._entry_names
+        assert twin._data_symbols is template._data_symbols
+
+    def test_live_clones_share_one_store_the_template_holds_weakly(self):
+        _, template = loaded_template()
+        first, second = template.clone(), template.clone()
+        assert first.shared_decodes is second.shared_decodes
+        assert first.shared_decodes is not template.shared_decodes
+        assert template._clone_decodes() is first.shared_decodes
+        assert first._clone_decodes is None
+        first.shared_decodes[1.0] = {"f": "decoded"}
+        del first, second
+        gc.collect()
+        assert template._clone_decodes() is None
+        assert not template.clone().shared_decodes, "the next clone is cold"

@@ -98,6 +98,28 @@ class TestCheckpoint:
         assert fingerprint(report) == fingerprint(run_fleet(200, **KWARGS))
 
 
+# Runs ``repro`` with its argv, but parks the campaign right after the
+# first checkpoint that holds a unit: it touches the ready file named by
+# argv[1] and sleeps until a signal unwinds it.  A whole 10^4-request
+# campaign finishes in well under a second, so without the pause a
+# signal sent "after some progress" may find the run already done.
+_PAUSE_AFTER_FIRST_SAVE = """
+import sys, time
+from pathlib import Path
+from repro.cli import main
+from repro.parallel import Checkpoint
+ready = Path(sys.argv.pop(1))
+real_save = Checkpoint.save
+def save(self):
+    real_save(self)
+    if self.units and not ready.exists():
+        ready.touch()
+        time.sleep(60)
+Checkpoint.save = save
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 class TestSignalShutdown:
     @pytest.mark.slow
     def test_sigterm_exits_typed_and_resume_is_byte_identical(self, tmp_path):
@@ -110,23 +132,25 @@ class TestSignalShutdown:
         env["PYTHONPATH"] = os.path.abspath(repo_src) + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
-        argv = [
-            sys.executable, "-m", "repro", "fleet",
+        ready = tmp_path / "ready"
+        fleet_args = [
+            "fleet",
             "--budget", "10000", "--slice", "100", "--schemes", "pssp",
             "--chaos", "--jobs", "2", "--checkpoint", str(ckpt),
         ]
+        argv = [sys.executable, "-m", "repro"] + fleet_args
         proc = subprocess.Popen(
-            argv, env=env,
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            [sys.executable, "-c", _PAUSE_AFTER_FIRST_SAVE, str(ready)]
+            + fleet_args,
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
         )
         # Let it make some progress, then pull the plug.
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
-            if ckpt.exists() and json.loads(ckpt.read_text())["units"]:
+            if ready.exists() or proc.poll() is not None:
                 break
-            if proc.poll() is not None:
-                break
-            time.sleep(0.2)
+            time.sleep(0.05)
+        assert json.loads(ckpt.read_text())["units"]
         proc.send_signal(signal.SIGTERM)
         _, stderr = proc.communicate(timeout=60)
         assert proc.returncode == 3  # EXIT_INFRASTRUCTURE

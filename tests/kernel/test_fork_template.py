@@ -212,3 +212,23 @@ class TestJitFlag:
         assert kernel.fork(hot).cpu.jit is True
         # A fork runs on the tiers its parent was born with.
         assert kernel.fork(cold).cpu.jit is False
+
+    def test_threads_run_on_their_process_tiers(self, monkeypatch):
+        binary = build(FLEET_VICTIM, "ssp", name="fleet")
+        monkeypatch.delenv(jit.ENV_FLAG, raising=False)
+        kernel = Kernel(1)
+        process, _ = deploy(kernel, binary, "ssp")
+        monkeypatch.setenv(jit.ENV_FLAG, "0")
+        assert process.cpu.jit is True
+        assert kernel.fork(process).cpu.jit is True
+        assert kernel.create_thread(process).cpu.jit is True
+
+    def test_threads_of_a_cold_process_stay_cold(self, monkeypatch):
+        binary = build(FLEET_VICTIM, "ssp", name="fleet")
+        monkeypatch.setenv(jit.ENV_FLAG, "0")
+        kernel = Kernel(1)
+        process, _ = deploy(kernel, binary, "ssp")
+        monkeypatch.setenv(jit.ENV_FLAG, "1")
+        assert process.cpu.jit is False
+        assert kernel.fork(process).cpu.jit is False
+        assert kernel.create_thread(process).cpu.jit is False

@@ -1,11 +1,11 @@
 """The image-scoped decode cache shared across fork children and threads.
 
-Decoded steps take their CPU as an argument, so one step list per
-``(image, code_generation, dbi_multiplier)`` serves every CPU that runs
-on the image.  These tests pin the sharing (identity
-of step lists, one decode per distinct function however many forks) and
-every invalidation boundary a sharer must observe, then re-check the
-fast ≡ slow contract over a fork chain.
+Decoded steps take their CPU as an argument, and a loaded image never
+changes, so one step list per ``(image, dbi_multiplier)`` serves every
+CPU that runs on the image.  These tests pin the sharing (identity of
+step lists, one decode per distinct function however many forks) and
+the store's lifetime across spawns, then re-check the fast ≡ slow
+contract over a fork chain.
 """
 
 import gc
@@ -71,6 +71,16 @@ def steps_of(process, name="handler"):
     return process.cpu._decode_cache[name].steps
 
 
+def template_of(process):
+    """The cached spawn template that handed ``process`` its decode store."""
+    (template,) = [
+        entry.image for entry in image_cache()._entries.values()
+        if entry.image._clone_decodes
+        and entry.image._clone_decodes() is process.image.shared_decodes
+    ]
+    return template
+
+
 class TestForkSharing:
     def test_children_reuse_parent_step_lists_by_identity(self):
         kernel, parent = boot()
@@ -119,50 +129,24 @@ class TestSpawnSharing:
         assert second.call("handler", (2,)).exit_status == 9
         assert steps_of(second) is steps_of(first)
 
-    def test_patching_one_clone_detaches_only_that_clone(self, decodes):
-        source = SERVER + "int spawn_patch() { return 0; }\n"
-        _, first = boot(source)
-        _, second = boot(source)
-        assert first.call("handler", (1,)).exit_status == 8
-        shared = first.image.shared_decodes
-        kept = steps_of(first)
-        before = len(decodes)
-        handler = first.image.function("handler")
-        first.image.add_function(handler, replace=True)
-        assert first.image.shared_decodes is not shared
-        assert first.image.shared_decodes.image is first.image
-        assert second.image.shared_decodes is shared
-        fast = [first.call("handler", (1,)), second.call("handler", (1,))]
-        assert [r.exit_status for r in fast] == [8, 8]
-        assert steps_of(second) is kept, "the sibling keeps its steps"
-        assert steps_of(first) is not kept
-        assert len(decodes) == before + 1
-        # fast ≡ slow on both clones.
-        _, slow = boot(source, fast=False)
-        oracle = slow.call("handler", (1,))
-        for result in fast:
-            assert (result.cycles, result.instructions) == (
-                oracle.cycles, oracle.instructions
-            )
-
     def test_store_dies_with_the_last_clone(self, decodes):
         source = SERVER + "int spawn_die() { return 0; }\n"
         kernel, first = boot(source)
         cold = len(decodes)
         _, second = boot(source)
         store = weakref.ref(first.image.shared_decodes)
-        template = first.image.shared_decodes.image
+        template = template_of(first)
         del kernel, first, _, second
         gc.collect()
         assert store() is None
         _, third = boot(source)
-        assert third.image.shared_decodes.image is template
+        assert template_of(third) is template
         assert len(decodes) == 2 * cold, "the next spawn starts cold"
 
     def test_spawn_template_never_keeps_decodes_alive(self):
         source = SERVER + "int spawn_template() { return 0; }\n"
         _, process = boot(source)
-        template = process.image.shared_decodes.image
+        template = template_of(process)
         cached = [entry.image for entry in image_cache()._entries.values()]
         assert any(image is template for image in cached)
         assert not template.shared_decodes, "the template never runs"
@@ -174,50 +158,6 @@ class TestSpawnSharing:
 
 
 class TestInvalidationReachesEverySharer:
-    def test_code_generation_bump_after_fork(self, decodes):
-        kernel, parent = boot()
-        child = kernel.fork(parent)
-        child.call("handler", (1,))
-        stale = steps_of(parent)
-        handler = parent.image.function("handler")
-        # The rewriter's patch path: re-register a function.
-        parent.image.add_function(handler, replace=True)
-        before = len(decodes)
-        assert parent.call("handler", (1,)).exit_status == 8
-        assert child.call("handler", (1,)).exit_status == 8
-        assert steps_of(parent) is not stale
-        assert steps_of(child) is steps_of(parent)
-        assert len(decodes) == before + 1
-
-    def test_flush_decode_cache_after_fork_reaches_the_parent(self):
-        # A source of its own: the build and spawn-image caches share
-        # Function bodies between boots, and this test patches one.
-        kernel, parent = boot(SERVER + "int unshared() { return 0; }\n")
-        child = kernel.fork(parent)
-        assert child.call("handler", (1,)).exit_status == 8
-        # Patch the shared body in place (same encoded length), then
-        # flush through the *child*: the parent must not keep running
-        # its stale steps.
-        handler = parent.image.function("handler")
-        position = next(
-            index for index, instruction in enumerate(handler.body)
-            if any(isinstance(o, Imm) and o.value == 7 for o in instruction.operands)
-        )
-        old = handler.body[position]
-        operands = tuple(
-            Imm(9) if isinstance(o, Imm) and o.value == 7 else o
-            for o in old.operands
-        )
-        handler.body[position] = Instruction(old.op, operands, old.note)
-        try:
-            child.cpu.flush_decode_cache()
-            assert parent.call("handler", (1,)).exit_status == 10
-            assert child.call("handler", (1,)).exit_status == 10
-            assert steps_of(child) is steps_of(parent)
-            assert parent.image.shared_decodes, "refilled after the flush"
-        finally:
-            handler.body[position] = old
-
     def test_dbi_change_on_one_cpu_does_not_poison_another(self):
         kernel, parent = boot()
         child = kernel.fork(parent)
@@ -254,6 +194,36 @@ class TestInvalidationReachesEverySharer:
         assert prologues(parent) == 1
         assert prologues(child) == 1
         assert steps_of(parent) is wrapped and steps_of(child) is wrapped
+
+
+class TestDecodeOnce:
+    def test_a_view_miss_decodes_once_per_multiplier(self, decodes):
+        # A source of its own: no live clone of another test shares its store.
+        kernel, parent = boot(SERVER + "int decode_once() { return 0; }\n")
+        warm = len(decodes)
+        assert warm
+        first, second = kernel.fork(parent), kernel.fork(parent)
+        first.cpu.dbi_multiplier = second.cpu.dbi_multiplier = 2.0
+        assert first.call("handler", (1,)).exit_status == 8
+        assert len(decodes) == warm + 1
+        assert second.call("handler", (1,)).exit_status == 8
+        assert len(decodes) == warm + 1, "the second CPU reused the decode"
+        assert steps_of(second) is steps_of(first)
+        assert steps_of(first) is not steps_of(parent)
+
+    def test_a_view_lives_as_long_as_its_cpu(self):
+        kernel, parent = boot()
+        for n in range(64):
+            assert parent.call("handler", (n,)).exit_status == n + 7
+        view = parent.cpu._decode_cache["handler"]
+        assert view.jit_blocks or view.jit_counts
+        kernel.fork(parent)
+        assert parent.cpu._decode_cache["handler"] is view
+        assert not view.jit_blocks and not view.jit_counts, (
+            "a fork drops the parent's JIT state, not its views"
+        )
+        assert parent.call("handler", (2,)).exit_status == 9
+        assert parent.cpu._decode_cache["handler"] is view
 
 
 class TestThreads:
@@ -297,13 +267,11 @@ def test_fast_equals_slow_over_a_smashing_fork_chain(scheme):
             architectural_snapshot(fast), architectural_snapshot(slow)
         )
         assert not divergences, divergences
-    if SCHEMES[scheme].rewrite is None:
-        # The chain ran on one shared image (rewritten schemes may patch
-        # their image at load, which is fine either way).
-        assert (
-            fast_processes[2].cpu._decode_cache["victim"].steps
-            is fast_processes[1].cpu._decode_cache["victim"].steps
-        )
+    # The chain ran on one shared image.
+    assert (
+        fast_processes[2].cpu._decode_cache["victim"].steps
+        is fast_processes[1].cpu._decode_cache["victim"].steps
+    )
 
 
 class TestStepMemo:
