@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..binfmt.elf import DYNAMIC, Binary
 from ..errors import CompileError
-from ..isa.instructions import Function, Imm, Label, Mem, Reg, Sym
+from ..isa.instructions import REGS, Function, Imm, Label, Mem, Sym
 from ..isa.registers import ARG_REGS
 from . import ast_nodes as ast
 from .parser import parse
@@ -98,18 +98,18 @@ class _FunctionEmitter:
     # -- top level -----------------------------------------------------------
 
     def emit_function(self) -> Function:
-        self.function.emit("push", Reg("rbp"), note="frame")
-        self.function.emit("mov", Reg("rbp"), Reg("rsp"), note="frame")
+        self.function.emit("push", REGS["rbp"], note="frame")
+        self.function.emit("mov", REGS["rbp"], REGS["rsp"], note="frame")
         if self.plan.frame_size:
-            self.function.emit("sub", Reg("rsp"), Imm(self.plan.frame_size), note="frame")
+            self.function.emit("sub", REGS["rsp"], Imm(self.plan.frame_size), note="frame")
         for param, register in zip(self.decl.params, ARG_REGS):
             slot = self.plan.var(param.name)
-            self.function.emit("mov", Mem(base="rbp", disp=-slot.offset), Reg(register),
+            self.function.emit("mov", Mem(base="rbp", disp=-slot.offset), REGS[register],
                                note="spill")
         self.protection.emit_prologue(self.function, self.plan)
         for statement in self.decl.body:
             self.gen_statement(statement)
-        self.function.emit("xor", Reg("rax"), Reg("rax"), note="implicit-return")
+        self.function.emit("xor", REGS["rax"], REGS["rax"], note="implicit-return")
         self.function.label_here(_RETURN_LABEL)
         self.protection.emit_epilogue_check(self.function, self.plan)
         self.function.emit("leave", note="frame")
@@ -134,7 +134,7 @@ class _FunctionEmitter:
             if statement.value is not None:
                 self.gen_value(statement.value)
             else:
-                self.function.emit("xor", Reg("rax"), Reg("rax"))
+                self.function.emit("xor", REGS["rax"], REGS["rax"])
             self.function.emit("jmp", Label(_RETURN_LABEL))
             return
         if isinstance(statement, ast.If):
@@ -162,7 +162,7 @@ class _FunctionEmitter:
         else_label = self.function.fresh_label("else")
         end_label = self.function.fresh_label("endif")
         self.gen_value(statement.cond)
-        self.function.emit("test", Reg("rax"), Reg("rax"))
+        self.function.emit("test", REGS["rax"], REGS["rax"])
         self.function.emit("je", Label(else_label))
         for inner in statement.then:
             self.gen_statement(inner)
@@ -177,7 +177,7 @@ class _FunctionEmitter:
         end = self.function.fresh_label("wend")
         self.function.label_here(head)
         self.gen_value(statement.cond)
-        self.function.emit("test", Reg("rax"), Reg("rax"))
+        self.function.emit("test", REGS["rax"], REGS["rax"])
         self.function.emit("je", Label(end))
         self._loops.append((end, head))
         for inner in statement.body:
@@ -195,7 +195,7 @@ class _FunctionEmitter:
         self.function.label_here(head)
         if statement.cond is not None:
             self.gen_value(statement.cond)
-            self.function.emit("test", Reg("rax"), Reg("rax"))
+            self.function.emit("test", REGS["rax"], REGS["rax"])
             self.function.emit("je", Label(end))
         self._loops.append((end, step_label))
         for inner in statement.body:
@@ -213,7 +213,7 @@ class _FunctionEmitter:
         """Emit code leaving an object's address in rax; return its type."""
         if isinstance(expr, ast.VarRef):
             var = self._var(expr.name)
-            self.function.emit("lea", Reg("rax"), Mem(base="rbp", disp=-var.offset))
+            self.function.emit("lea", REGS["rax"], Mem(base="rbp", disp=-var.offset))
             return var.ctype
         if isinstance(expr, ast.Index):
             element = self._gen_index_address(expr)
@@ -230,34 +230,34 @@ class _FunctionEmitter:
         if not (base_type.is_pointer or base_type.is_array):
             raise CompileError("subscript of a non-array", expr.line)
         element = base_type.decay().element()
-        self.function.emit("push", Reg("rax"))
+        self.function.emit("push", REGS["rax"])
         self.gen_value(expr.index)
-        self.function.emit("mov", Reg("rcx"), Reg("rax"))
-        self.function.emit("pop", Reg("rax"))
+        self.function.emit("mov", REGS["rcx"], REGS["rax"])
+        self.function.emit("pop", REGS["rax"])
         if element.size == 8:
-            self.function.emit("shl", Reg("rcx"), Imm(3))
+            self.function.emit("shl", REGS["rcx"], Imm(3))
         elif element.size != 1:
-            self.function.emit("imul", Reg("rcx"), Imm(element.size))
-        self.function.emit("add", Reg("rax"), Reg("rcx"))
+            self.function.emit("imul", REGS["rcx"], Imm(element.size))
+        self.function.emit("add", REGS["rax"], REGS["rcx"])
         return element
 
     def _load(self, ctype: ast.Type) -> None:
         """Load from the address in rax, honoring the access width."""
         if ctype.access_width == 1:
-            self.function.emit("movzxb", Reg("rax"), Mem(base="rax"))
+            self.function.emit("movzxb", REGS["rax"], Mem(base="rax"))
         else:
-            self.function.emit("mov", Reg("rax"), Mem(base="rax"))
+            self.function.emit("mov", REGS["rax"], Mem(base="rax"))
 
     # -- rvalues -----------------------------------------------------------------
 
     def gen_value(self, expr: ast.Expr) -> ast.Type:
         """Emit code leaving the expression value in rax; return its type."""
         if isinstance(expr, ast.IntLiteral):
-            self.function.emit("mov", Reg("rax"), Imm(expr.value))
+            self.function.emit("mov", REGS["rax"], Imm(expr.value))
             return ast.INT
         if isinstance(expr, ast.StringLiteral):
             symbol = self._intern_string(expr.value)
-            self.function.emit("lea", Reg("rax"), Sym(symbol))
+            self.function.emit("lea", REGS["rax"], Sym(symbol))
             return ast.Type("char", 1)
         if isinstance(expr, ast.VarRef):
             if expr.name not in self.plan.vars:
@@ -266,16 +266,16 @@ class _FunctionEmitter:
                 # for pthread_create and friends); anything else is a
                 # genuine undeclared identifier.
                 if any(f.name == expr.name for f in self.program.functions):
-                    self.function.emit("lea", Reg("rax"), Sym(expr.name))
+                    self.function.emit("lea", REGS["rax"], Sym(expr.name))
                     return ast.Type("void", 1)
             var = self._var(expr.name)
             if var.ctype.is_array:
-                self.function.emit("lea", Reg("rax"), Mem(base="rbp", disp=-var.offset))
+                self.function.emit("lea", REGS["rax"], Mem(base="rbp", disp=-var.offset))
                 return var.ctype.decay()
             if var.ctype.access_width == 1:
-                self.function.emit("movzxb", Reg("rax"), Mem(base="rbp", disp=-var.offset))
+                self.function.emit("movzxb", REGS["rax"], Mem(base="rbp", disp=-var.offset))
             else:
-                self.function.emit("mov", Reg("rax"), Mem(base="rbp", disp=-var.offset))
+                self.function.emit("mov", REGS["rax"], Mem(base="rbp", disp=-var.offset))
             return var.ctype
         if isinstance(expr, ast.Unary):
             return self.gen_unary(expr)
@@ -308,19 +308,19 @@ class _FunctionEmitter:
             return element
         if expr.op == "-":
             self.gen_value(expr.operand)
-            self.function.emit("neg", Reg("rax"))
+            self.function.emit("neg", REGS["rax"])
             return ast.INT
         if expr.op == "~":
             self.gen_value(expr.operand)
-            self.function.emit("not", Reg("rax"))
+            self.function.emit("not", REGS["rax"])
             return ast.INT
         if expr.op == "!":
             self.gen_value(expr.operand)
             true_label = self.function.fresh_label("not")
-            self.function.emit("test", Reg("rax"), Reg("rax"))
-            self.function.emit("mov", Reg("rax"), Imm(1))
+            self.function.emit("test", REGS["rax"], REGS["rax"])
+            self.function.emit("mov", REGS["rax"], Imm(1))
             self.function.emit("je", Label(true_label))
-            self.function.emit("mov", Reg("rax"), Imm(0))
+            self.function.emit("mov", REGS["rax"], Imm(0))
             self.function.label_here(true_label)
             return ast.INT
         raise CompileError(f"unknown unary operator {expr.op!r}", expr.line)
@@ -332,17 +332,17 @@ class _FunctionEmitter:
         if expr.op in ("&&", "||"):
             return self._gen_logical(expr)
         left_type = self.gen_value(expr.left)
-        self.function.emit("push", Reg("rax"))
+        self.function.emit("push", REGS["rax"])
         right_type = self.gen_value(expr.right)
-        self.function.emit("mov", Reg("rcx"), Reg("rax"))
-        self.function.emit("pop", Reg("rax"))
+        self.function.emit("mov", REGS["rcx"], REGS["rax"])
+        self.function.emit("pop", REGS["rax"])
 
         if expr.op in self._COMPARISONS:
             done = self.function.fresh_label("cmp")
-            self.function.emit("cmp", Reg("rax"), Reg("rcx"))
-            self.function.emit("mov", Reg("rax"), Imm(1))
+            self.function.emit("cmp", REGS["rax"], REGS["rcx"])
+            self.function.emit("mov", REGS["rax"], Imm(1))
             self.function.emit(self._COMPARISONS[expr.op], Label(done))
-            self.function.emit("mov", Reg("rax"), Imm(0))
+            self.function.emit("mov", REGS["rax"], Imm(0))
             self.function.label_here(done)
             return ast.INT
 
@@ -351,31 +351,31 @@ class _FunctionEmitter:
         if expr.op == "-" and pointerish and right_pointerish:
             # Pointer difference: byte delta divided by the element size.
             element = left_type.decay().element()
-            self.function.emit("sub", Reg("rax"), Reg("rcx"))
+            self.function.emit("sub", REGS["rax"], REGS["rcx"])
             if element.size == 8:
-                self.function.emit("sar", Reg("rax"), Imm(3))
+                self.function.emit("sar", REGS["rax"], Imm(3))
             elif element.size != 1:
-                self.function.emit("mov", Reg("rcx"), Imm(element.size))
-                self.function.emit("idiv", Reg("rcx"))
+                self.function.emit("mov", REGS["rcx"], Imm(element.size))
+                self.function.emit("idiv", REGS["rcx"])
             return ast.INT
         if expr.op in ("+", "-") and pointerish:
             element = left_type.decay().element()
             if element.size == 8:
-                self.function.emit("shl", Reg("rcx"), Imm(3))
+                self.function.emit("shl", REGS["rcx"], Imm(3))
             elif element.size != 1:
-                self.function.emit("imul", Reg("rcx"), Imm(element.size))
-            self.function.emit("add" if expr.op == "+" else "sub", Reg("rax"), Reg("rcx"))
+                self.function.emit("imul", REGS["rcx"], Imm(element.size))
+            self.function.emit("add" if expr.op == "+" else "sub", REGS["rax"], REGS["rcx"])
             return left_type.decay()
 
         simple = {"+": "add", "-": "sub", "&": "and", "|": "or", "^": "xor",
                   "<<": "shl", ">>": "shr", "*": "imul"}
         if expr.op in simple:
-            self.function.emit(simple[expr.op], Reg("rax"), Reg("rcx"))
+            self.function.emit(simple[expr.op], REGS["rax"], REGS["rcx"])
             return ast.INT
         if expr.op in ("/", "%"):
-            self.function.emit("idiv", Reg("rcx"))
+            self.function.emit("idiv", REGS["rcx"])
             if expr.op == "%":
-                self.function.emit("mov", Reg("rax"), Reg("rdx"))
+                self.function.emit("mov", REGS["rax"], REGS["rdx"])
             return ast.INT
         raise CompileError(f"unknown binary operator {expr.op!r}", expr.line)
 
@@ -385,41 +385,41 @@ class _FunctionEmitter:
         end_label = self.function.fresh_label("sc_end")
         if expr.op == "&&":
             self.gen_value(expr.left)
-            self.function.emit("test", Reg("rax"), Reg("rax"))
+            self.function.emit("test", REGS["rax"], REGS["rax"])
             self.function.emit("je", Label(false_label))
             self.gen_value(expr.right)
-            self.function.emit("test", Reg("rax"), Reg("rax"))
+            self.function.emit("test", REGS["rax"], REGS["rax"])
             self.function.emit("je", Label(false_label))
-            self.function.emit("mov", Reg("rax"), Imm(1))
+            self.function.emit("mov", REGS["rax"], Imm(1))
             self.function.emit("jmp", Label(end_label))
             self.function.label_here(false_label)
-            self.function.emit("mov", Reg("rax"), Imm(0))
+            self.function.emit("mov", REGS["rax"], Imm(0))
             self.function.label_here(end_label)
             self.function.label_here(true_label)  # unused but keeps labels defined
             return ast.INT
         self.gen_value(expr.left)
-        self.function.emit("test", Reg("rax"), Reg("rax"))
+        self.function.emit("test", REGS["rax"], REGS["rax"])
         self.function.emit("jne", Label(true_label))
         self.gen_value(expr.right)
-        self.function.emit("test", Reg("rax"), Reg("rax"))
+        self.function.emit("test", REGS["rax"], REGS["rax"])
         self.function.emit("jne", Label(true_label))
-        self.function.emit("mov", Reg("rax"), Imm(0))
+        self.function.emit("mov", REGS["rax"], Imm(0))
         self.function.emit("jmp", Label(end_label))
         self.function.label_here(true_label)
-        self.function.emit("mov", Reg("rax"), Imm(1))
+        self.function.emit("mov", REGS["rax"], Imm(1))
         self.function.label_here(end_label)
         self.function.label_here(false_label)
         return ast.INT
 
     def gen_assign(self, expr: ast.Assign) -> ast.Type:
         target_type = self.gen_address(expr.target)
-        self.function.emit("push", Reg("rax"))
+        self.function.emit("push", REGS["rax"])
         self.gen_value(expr.value)
-        self.function.emit("pop", Reg("rcx"))
+        self.function.emit("pop", REGS["rcx"])
         if target_type.access_width == 1:
-            self.function.emit("movb", Mem(base="rcx"), Reg("rax"))
+            self.function.emit("movb", Mem(base="rcx"), REGS["rax"])
         else:
-            self.function.emit("mov", Mem(base="rcx"), Reg("rax"))
+            self.function.emit("mov", Mem(base="rcx"), REGS["rax"])
         return target_type
 
     def gen_call(self, expr: ast.Call) -> ast.Type:
@@ -430,9 +430,9 @@ class _FunctionEmitter:
             )
         for argument in expr.args:
             self.gen_value(argument)
-            self.function.emit("push", Reg("rax"))
+            self.function.emit("push", REGS["rax"])
         for register in reversed(ARG_REGS[: len(expr.args)]):
-            self.function.emit("pop", Reg(register))
+            self.function.emit("pop", REGS[register])
         self.function.emit("call", Sym(expr.name))
         self.protection.post_call_check(self.function, self.plan, expr.name)
         return ast.INT

@@ -22,7 +22,7 @@ overhead columns reflect.
 
 from __future__ import annotations
 
-from ...isa.instructions import Imm, Label, Mem, Reg, Sym
+from ...isa.instructions import REGS, Imm, Label, Mem, Sym
 from ...machine.tls import (
     CANARY_OFFSET,
     DCR_LIST_HEAD_OFFSET,
@@ -44,26 +44,26 @@ class DynaGuardPass(SSPPass):
         super().emit_prologue(function, plan)
         note = "dynaguard-prologue"
         slot = plan.canary_slots[0]
-        function.emit("mov", Reg("rcx"), Mem(seg="fs", disp=DYNAGUARD_CAB_BASE_OFFSET),
+        function.emit("mov", REGS["rcx"], Mem(seg="fs", disp=DYNAGUARD_CAB_BASE_OFFSET),
                       note=note)
-        function.emit("mov", Reg("rdx"), Mem(seg="fs", disp=DYNAGUARD_CAB_INDEX_OFFSET),
+        function.emit("mov", REGS["rdx"], Mem(seg="fs", disp=DYNAGUARD_CAB_INDEX_OFFSET),
                       note=note)
-        function.emit("lea", Reg("rax"), Mem(base="rbp", disp=-slot), note=note)
-        function.emit("mov", Mem(base="rcx", index="rdx", scale=8), Reg("rax"),
+        function.emit("lea", REGS["rax"], Mem(base="rbp", disp=-slot), note=note)
+        function.emit("mov", Mem(base="rcx", index="rdx", scale=8), REGS["rax"],
                       note=note)
-        function.emit("inc", Reg("rdx"), note=note)
-        function.emit("mov", Mem(seg="fs", disp=DYNAGUARD_CAB_INDEX_OFFSET), Reg("rdx"),
+        function.emit("inc", REGS["rdx"], note=note)
+        function.emit("mov", Mem(seg="fs", disp=DYNAGUARD_CAB_INDEX_OFFSET), REGS["rdx"],
                       note=note)
-        function.emit("xor", Reg("rax"), Reg("rax"), note=note)
+        function.emit("xor", REGS["rax"], REGS["rax"], note=note)
 
     def emit_epilogue_check(self, function, plan: FramePlan) -> None:
         if not plan.protected:
             return
         note = "dynaguard-epilogue"
-        function.emit("mov", Reg("rdx"), Mem(seg="fs", disp=DYNAGUARD_CAB_INDEX_OFFSET),
+        function.emit("mov", REGS["rdx"], Mem(seg="fs", disp=DYNAGUARD_CAB_INDEX_OFFSET),
                       note=note)
-        function.emit("dec", Reg("rdx"), note=note)
-        function.emit("mov", Mem(seg="fs", disp=DYNAGUARD_CAB_INDEX_OFFSET), Reg("rdx"),
+        function.emit("dec", REGS["rdx"], note=note)
+        function.emit("mov", Mem(seg="fs", disp=DYNAGUARD_CAB_INDEX_OFFSET), REGS["rdx"],
                       note=note)
         super().emit_epilogue_check(function, plan)
 
@@ -91,17 +91,17 @@ class DCRPass(SSPPass):
             return
         note = "dcr-prologue"
         slot = plan.canary_slots[0]
-        function.emit("mov", Reg("rax"), Mem(seg="fs", disp=CANARY_OFFSET), note=note)
-        function.emit("mov", Reg("rcx"), Mem(seg="fs", disp=DCR_LIST_HEAD_OFFSET),
+        function.emit("mov", REGS["rax"], Mem(seg="fs", disp=CANARY_OFFSET), note=note)
+        function.emit("mov", REGS["rcx"], Mem(seg="fs", disp=DCR_LIST_HEAD_OFFSET),
                       note=note)
-        function.emit("lea", Reg("rdx"), Mem(base="rbp", disp=-slot), note=note)
-        function.emit("mov", Mem(seg="fs", disp=DCR_LIST_HEAD_OFFSET), Reg("rdx"),
+        function.emit("lea", REGS["rdx"], Mem(base="rbp", disp=-slot), note=note)
+        function.emit("mov", Mem(seg="fs", disp=DCR_LIST_HEAD_OFFSET), REGS["rdx"],
                       note=note)
-        function.emit("sub", Reg("rcx"), Reg("rdx"), note=note)
-        function.emit("shr", Reg("rcx"), Imm(3), note=note)
-        function.emit("xor", Reg("rax"), Reg("rcx"), note=note)
-        function.emit("mov", Mem(base="rbp", disp=-slot), Reg("rax"), note=note)
-        function.emit("xor", Reg("rax"), Reg("rax"), note=note)
+        function.emit("sub", REGS["rcx"], REGS["rdx"], note=note)
+        function.emit("shr", REGS["rcx"], Imm(3), note=note)
+        function.emit("xor", REGS["rax"], REGS["rcx"], note=note)
+        function.emit("mov", Mem(base="rbp", disp=-slot), REGS["rax"], note=note)
+        function.emit("xor", REGS["rax"], REGS["rax"], note=note)
 
     def emit_epilogue_check(self, function, plan: FramePlan) -> None:
         if not plan.protected:
@@ -109,18 +109,18 @@ class DCRPass(SSPPass):
         note = "dcr-epilogue"
         slot = plan.canary_slots[0]
         ok = function.fresh_label("dcr_ok")
-        function.emit("mov", Reg("rdx"), Mem(base="rbp", disp=-slot), note=note)
-        function.emit("xor", Reg("rdx"), Mem(seg="fs", disp=CANARY_OFFSET), note=note)
-        function.emit("mov", Reg("rcx"), Reg("rdx"), note=note)
-        function.emit("shr", Reg("rcx"), Imm(self.OFFSET_BITS), note=note)
+        function.emit("mov", REGS["rdx"], Mem(base="rbp", disp=-slot), note=note)
+        function.emit("xor", REGS["rdx"], Mem(seg="fs", disp=CANARY_OFFSET), note=note)
+        function.emit("mov", REGS["rcx"], REGS["rdx"], note=note)
+        function.emit("shr", REGS["rcx"], Imm(self.OFFSET_BITS), note=note)
         function.emit("je", Label(ok), note=note)
         function.emit("call", Sym("__stack_chk_fail"), note=note)
         function.label_here(ok)
         # Pop the list: head = this_canary_address + delta * 8.
-        function.emit("shl", Reg("rdx"), Imm(3), note=note)
-        function.emit("lea", Reg("rcx"), Mem(base="rbp", disp=-slot), note=note)
-        function.emit("add", Reg("rcx"), Reg("rdx"), note=note)
-        function.emit("mov", Mem(seg="fs", disp=DCR_LIST_HEAD_OFFSET), Reg("rcx"),
+        function.emit("shl", REGS["rdx"], Imm(3), note=note)
+        function.emit("lea", REGS["rcx"], Mem(base="rbp", disp=-slot), note=note)
+        function.emit("add", REGS["rcx"], REGS["rdx"], note=note)
+        function.emit("mov", Mem(seg="fs", disp=DCR_LIST_HEAD_OFFSET), REGS["rcx"],
                       note=note)
 
     def runtime(self):

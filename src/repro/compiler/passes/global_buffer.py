@@ -10,7 +10,7 @@ the buffer and verifies ``C0 ⊕ C1 == C``.
 
 from __future__ import annotations
 
-from ...isa.instructions import Label, Mem, Reg, Sym
+from ...isa.instructions import REGS, Label, Mem, Sym
 from ...machine.tls import (
     CANARY_OFFSET,
     GLOBAL_BUFFER_BASE_OFFSET,
@@ -30,21 +30,21 @@ class GlobalBufferPass(SSPPass):
             return
         note = "pssp-gb-prologue"
         slot = plan.canary_slots[0]
-        function.emit("rdrand", Reg("rax"), note=note)
-        function.emit("mov", Mem(base="rbp", disp=-slot), Reg("rax"), note=note)
-        function.emit("mov", Reg("rcx"), Mem(seg="fs", disp=CANARY_OFFSET), note=note)
-        function.emit("xor", Reg("rcx"), Reg("rax"), note=note)
-        function.emit("mov", Reg("rdx"), Mem(seg="fs", disp=GLOBAL_BUFFER_BASE_OFFSET),
+        function.emit("rdrand", REGS["rax"], note=note)
+        function.emit("mov", Mem(base="rbp", disp=-slot), REGS["rax"], note=note)
+        function.emit("mov", REGS["rcx"], Mem(seg="fs", disp=CANARY_OFFSET), note=note)
+        function.emit("xor", REGS["rcx"], REGS["rax"], note=note)
+        function.emit("mov", REGS["rdx"], Mem(seg="fs", disp=GLOBAL_BUFFER_BASE_OFFSET),
                       note=note)
-        function.emit("mov", Reg("r10"), Mem(seg="fs", disp=GLOBAL_BUFFER_COUNT_OFFSET),
+        function.emit("mov", REGS["r10"], Mem(seg="fs", disp=GLOBAL_BUFFER_COUNT_OFFSET),
                       note=note)
-        function.emit("mov", Mem(base="rdx", index="r10", scale=8), Reg("rcx"),
+        function.emit("mov", Mem(base="rdx", index="r10", scale=8), REGS["rcx"],
                       note=note)
-        function.emit("inc", Reg("r10"), note=note)
-        function.emit("mov", Mem(seg="fs", disp=GLOBAL_BUFFER_COUNT_OFFSET), Reg("r10"),
+        function.emit("inc", REGS["r10"], note=note)
+        function.emit("mov", Mem(seg="fs", disp=GLOBAL_BUFFER_COUNT_OFFSET), REGS["r10"],
                       note=note)
-        function.emit("xor", Reg("rax"), Reg("rax"), note=note)
-        function.emit("xor", Reg("rcx"), Reg("rcx"), note=note)
+        function.emit("xor", REGS["rax"], REGS["rax"], note=note)
+        function.emit("xor", REGS["rcx"], REGS["rcx"], note=note)
 
     def emit_epilogue_check(self, function, plan: FramePlan) -> None:
         if not plan.protected:
@@ -52,18 +52,18 @@ class GlobalBufferPass(SSPPass):
         note = "pssp-gb-epilogue"
         slot = plan.canary_slots[0]
         ok = function.fresh_label("gb_ok")
-        function.emit("mov", Reg("r10"), Mem(seg="fs", disp=GLOBAL_BUFFER_COUNT_OFFSET),
+        function.emit("mov", REGS["r10"], Mem(seg="fs", disp=GLOBAL_BUFFER_COUNT_OFFSET),
                       note=note)
-        function.emit("dec", Reg("r10"), note=note)
-        function.emit("mov", Mem(seg="fs", disp=GLOBAL_BUFFER_COUNT_OFFSET), Reg("r10"),
+        function.emit("dec", REGS["r10"], note=note)
+        function.emit("mov", Mem(seg="fs", disp=GLOBAL_BUFFER_COUNT_OFFSET), REGS["r10"],
                       note=note)
-        function.emit("mov", Reg("rdx"), Mem(seg="fs", disp=GLOBAL_BUFFER_BASE_OFFSET),
+        function.emit("mov", REGS["rdx"], Mem(seg="fs", disp=GLOBAL_BUFFER_BASE_OFFSET),
                       note=note)
-        function.emit("mov", Reg("rdi"), Mem(base="rdx", index="r10", scale=8),
+        function.emit("mov", REGS["rdi"], Mem(base="rdx", index="r10", scale=8),
                       note=note)
-        function.emit("mov", Reg("rdx"), Mem(base="rbp", disp=-slot), note=note)
-        function.emit("xor", Reg("rdx"), Reg("rdi"), note=note)
-        function.emit("xor", Reg("rdx"), Mem(seg="fs", disp=CANARY_OFFSET), note=note)
+        function.emit("mov", REGS["rdx"], Mem(base="rbp", disp=-slot), note=note)
+        function.emit("xor", REGS["rdx"], REGS["rdi"], note=note)
+        function.emit("xor", REGS["rdx"], Mem(seg="fs", disp=CANARY_OFFSET), note=note)
         function.emit("je", Label(ok), note=note)
         function.emit("call", Sym("__stack_chk_fail"), note=note)
         function.label_here(ok)

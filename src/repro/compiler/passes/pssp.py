@@ -12,7 +12,7 @@ overhead.
 
 from __future__ import annotations
 
-from ...isa.instructions import Label, Mem, Reg, Sym
+from ...isa.instructions import REGS, Label, Mem, Sym
 from ...machine.tls import CANARY_OFFSET, SHADOW_C0_OFFSET, SHADOW_C1_OFFSET
 from .base import FramePlan, ProtectionPass
 
@@ -30,27 +30,27 @@ class PSSPPass(ProtectionPass):
         if not plan.protected:
             return
         c0_slot, c1_slot = plan.canary_slots[0], plan.canary_slots[1]
-        function.emit("mov", Reg("rax"), Mem(seg="fs", disp=SHADOW_C0_OFFSET),
+        function.emit("mov", REGS["rax"], Mem(seg="fs", disp=SHADOW_C0_OFFSET),
                       note="pssp-prologue")
-        function.emit("mov", Mem(base="rbp", disp=-c0_slot), Reg("rax"),
+        function.emit("mov", Mem(base="rbp", disp=-c0_slot), REGS["rax"],
                       note="pssp-prologue")
-        function.emit("mov", Reg("rax"), Mem(seg="fs", disp=SHADOW_C1_OFFSET),
+        function.emit("mov", REGS["rax"], Mem(seg="fs", disp=SHADOW_C1_OFFSET),
                       note="pssp-prologue")
-        function.emit("mov", Mem(base="rbp", disp=-c1_slot), Reg("rax"),
+        function.emit("mov", Mem(base="rbp", disp=-c1_slot), REGS["rax"],
                       note="pssp-prologue")
-        function.emit("xor", Reg("rax"), Reg("rax"), note="pssp-prologue")
+        function.emit("xor", REGS["rax"], REGS["rax"], note="pssp-prologue")
 
     def emit_epilogue_check(self, function, plan: FramePlan) -> None:
         if not plan.protected:
             return
         c0_slot, c1_slot = plan.canary_slots[0], plan.canary_slots[1]
         ok = function.fresh_label("pssp_ok")
-        function.emit("mov", Reg("rdx"), Mem(base="rbp", disp=-c0_slot),
+        function.emit("mov", REGS["rdx"], Mem(base="rbp", disp=-c0_slot),
                       note="pssp-epilogue")
-        function.emit("mov", Reg("rdi"), Mem(base="rbp", disp=-c1_slot),
+        function.emit("mov", REGS["rdi"], Mem(base="rbp", disp=-c1_slot),
                       note="pssp-epilogue")
-        function.emit("xor", Reg("rdx"), Reg("rdi"), note="pssp-epilogue")
-        function.emit("xor", Reg("rdx"), Mem(seg="fs", disp=CANARY_OFFSET),
+        function.emit("xor", REGS["rdx"], REGS["rdi"], note="pssp-epilogue")
+        function.emit("xor", REGS["rdx"], Mem(seg="fs", disp=CANARY_OFFSET),
                       note="pssp-epilogue")
         function.emit("je", Label(ok), note="pssp-epilogue")
         function.emit("call", Sym("__stack_chk_fail"), note="pssp-epilogue")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ...isa.instructions import Label, Mem, Reg, Sym
+from ...isa.instructions import REGS, Label, Mem, Sym
 from ...machine.tls import CANARY_OFFSET
 from ..ast_nodes import Declaration, FunctionDecl
 from .base import FramePlan, ProtectionPass, _align
@@ -106,32 +106,32 @@ class PSSPLVPass(ProtectionPass):
         slots = plan.canary_slots
         count = len(slots)
         for j, slot in enumerate(slots[:-1]):
-            function.emit("rdrand", Reg("rax"), note="pssp-lv-prologue")
-            function.emit("mov", Mem(base="rbp", disp=-slot), Reg("rax"),
+            function.emit("rdrand", REGS["rax"], note="pssp-lv-prologue")
+            function.emit("mov", Mem(base="rbp", disp=-slot), REGS["rax"],
                           note="pssp-lv-prologue")
             if j == 0:
-                function.emit("mov", Reg("rcx"), Reg("rax"),
+                function.emit("mov", REGS["rcx"], REGS["rax"],
                               note="pssp-lv-prologue")
             else:
-                function.emit("xor", Reg("rcx"), Reg("rax"),
+                function.emit("xor", REGS["rcx"], REGS["rax"],
                               note="pssp-lv-prologue")
         # Last canary: computed so the XOR of all canaries equals C.
-        function.emit("mov", Reg("rax"), Mem(seg="fs", disp=CANARY_OFFSET),
+        function.emit("mov", REGS["rax"], Mem(seg="fs", disp=CANARY_OFFSET),
                       note="pssp-lv-prologue")
         if count > 1:
-            function.emit("xor", Reg("rax"), Reg("rcx"), note="pssp-lv-prologue")
-        function.emit("mov", Mem(base="rbp", disp=-slots[-1]), Reg("rax"),
+            function.emit("xor", REGS["rax"], REGS["rcx"], note="pssp-lv-prologue")
+        function.emit("mov", Mem(base="rbp", disp=-slots[-1]), REGS["rax"],
                       note="pssp-lv-prologue")
-        function.emit("xor", Reg("rax"), Reg("rax"), note="pssp-lv-prologue")
-        function.emit("xor", Reg("rcx"), Reg("rcx"), note="pssp-lv-prologue")
+        function.emit("xor", REGS["rax"], REGS["rax"], note="pssp-lv-prologue")
+        function.emit("xor", REGS["rcx"], REGS["rcx"], note="pssp-lv-prologue")
 
     def _check(self, function, plan: FramePlan, note: str) -> None:
         slots = plan.canary_slots
         ok = function.fresh_label("lv_ok")
-        function.emit("mov", Reg("rdx"), Mem(base="rbp", disp=-slots[0]), note=note)
+        function.emit("mov", REGS["rdx"], Mem(base="rbp", disp=-slots[0]), note=note)
         for slot in slots[1:]:
-            function.emit("xor", Reg("rdx"), Mem(base="rbp", disp=-slot), note=note)
-        function.emit("xor", Reg("rdx"), Mem(seg="fs", disp=CANARY_OFFSET), note=note)
+            function.emit("xor", REGS["rdx"], Mem(base="rbp", disp=-slot), note=note)
+        function.emit("xor", REGS["rdx"], Mem(seg="fs", disp=CANARY_OFFSET), note=note)
         function.emit("je", Label(ok), note=note)
         function.emit("call", Sym("__stack_chk_fail"), note=note)
         function.label_here(ok)

@@ -18,7 +18,7 @@ compiler-mode P-SSP.
 from __future__ import annotations
 
 from ...faults.policy import RDRAND_RETRY_LIMIT
-from ...isa.instructions import Imm, Label, Mem, Reg
+from ...isa.instructions import REGS, Imm, Label, Mem
 from ...machine.tls import CANARY_OFFSET, SHADOW_C0_OFFSET, SHADOW_C1_OFFSET
 from .base import FramePlan
 from .pssp import PSSPPass
@@ -33,16 +33,16 @@ class PSSPNTPass(PSSPPass):
         if not plan.protected:
             return
         c0_slot, c1_slot = plan.canary_slots[0], plan.canary_slots[1]
-        function.emit("rdrand", Reg("rax"), note="pssp-nt-prologue")
-        function.emit("mov", Mem(base="rbp", disp=-c0_slot), Reg("rax"),
+        function.emit("rdrand", REGS["rax"], note="pssp-nt-prologue")
+        function.emit("mov", Mem(base="rbp", disp=-c0_slot), REGS["rax"],
                       note="pssp-nt-prologue")
-        function.emit("mov", Reg("rcx"), Mem(seg="fs", disp=CANARY_OFFSET),
+        function.emit("mov", REGS["rcx"], Mem(seg="fs", disp=CANARY_OFFSET),
                       note="pssp-nt-prologue")
-        function.emit("xor", Reg("rcx"), Reg("rax"), note="pssp-nt-prologue")
-        function.emit("mov", Mem(base="rbp", disp=-c1_slot), Reg("rcx"),
+        function.emit("xor", REGS["rcx"], REGS["rax"], note="pssp-nt-prologue")
+        function.emit("mov", Mem(base="rbp", disp=-c1_slot), REGS["rcx"],
                       note="pssp-nt-prologue")
-        function.emit("xor", Reg("rax"), Reg("rax"), note="pssp-nt-prologue")
-        function.emit("xor", Reg("rcx"), Reg("rcx"), note="pssp-nt-prologue")
+        function.emit("xor", REGS["rax"], REGS["rax"], note="pssp-nt-prologue")
+        function.emit("xor", REGS["rcx"], REGS["rcx"], note="pssp-nt-prologue")
 
     def runtime(self):
         return None  # the whole point: no runtime support needed
@@ -73,35 +73,35 @@ class PSSPNTHardenedPass(PSSPNTPass):
         done = function.fresh_label("ntrh_done")
         # rdx is free here: parameters are spilled to frame slots before
         # the protection prologue runs (codegen emits spills first).
-        function.emit("mov", Reg("rdx"), Imm(RDRAND_RETRY_LIMIT), note=note)
+        function.emit("mov", REGS["rdx"], Imm(RDRAND_RETRY_LIMIT), note=note)
         function.label_here(retry)
-        function.emit("rdrand", Reg("rax"), note=note)
+        function.emit("rdrand", REGS["rax"], note=note)
         function.emit("jb", Label(fresh_ok), note=note)
         function.emit("nop", note=note)  # pause-style backoff between attempts
-        function.emit("dec", Reg("rdx"), note=note)
+        function.emit("dec", REGS["rdx"], note=note)
         function.emit("jne", Label(retry), note=note)
         # Retry budget exhausted: fail closed onto the TLS shadow pair.
-        function.emit("mov", Reg("rax"), Mem(seg="fs", disp=SHADOW_C0_OFFSET),
+        function.emit("mov", REGS["rax"], Mem(seg="fs", disp=SHADOW_C0_OFFSET),
                       note="pssp-nt-fallback")
-        function.emit("mov", Mem(base="rbp", disp=-c0_slot), Reg("rax"),
+        function.emit("mov", Mem(base="rbp", disp=-c0_slot), REGS["rax"],
                       note="pssp-nt-fallback-c0")
-        function.emit("mov", Reg("rcx"), Mem(seg="fs", disp=SHADOW_C1_OFFSET),
+        function.emit("mov", REGS["rcx"], Mem(seg="fs", disp=SHADOW_C1_OFFSET),
                       note="pssp-nt-fallback")
-        function.emit("mov", Mem(base="rbp", disp=-c1_slot), Reg("rcx"),
+        function.emit("mov", Mem(base="rbp", disp=-c1_slot), REGS["rcx"],
                       note="pssp-nt-fallback")
         function.emit("jmp", Label(done), note=note)
         function.label_here(fresh_ok)
-        function.emit("mov", Mem(base="rbp", disp=-c0_slot), Reg("rax"),
+        function.emit("mov", Mem(base="rbp", disp=-c0_slot), REGS["rax"],
                       note="pssp-nt-hardened-c0")
-        function.emit("mov", Reg("rcx"), Mem(seg="fs", disp=CANARY_OFFSET),
+        function.emit("mov", REGS["rcx"], Mem(seg="fs", disp=CANARY_OFFSET),
                       note=note)
-        function.emit("xor", Reg("rcx"), Reg("rax"), note=note)
-        function.emit("mov", Mem(base="rbp", disp=-c1_slot), Reg("rcx"),
+        function.emit("xor", REGS["rcx"], REGS["rax"], note=note)
+        function.emit("mov", Mem(base="rbp", disp=-c1_slot), REGS["rcx"],
                       note=note)
         function.label_here(done)
-        function.emit("xor", Reg("rax"), Reg("rax"), note=note)
-        function.emit("xor", Reg("rcx"), Reg("rcx"), note=note)
-        function.emit("xor", Reg("rdx"), Reg("rdx"), note=note)
+        function.emit("xor", REGS["rax"], REGS["rax"], note=note)
+        function.emit("xor", REGS["rcx"], REGS["rcx"], note=note)
+        function.emit("xor", REGS["rdx"], REGS["rdx"], note=note)
 
     def runtime(self):
         from ...core.schemes import HardenedNTRuntime

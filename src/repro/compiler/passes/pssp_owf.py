@@ -15,7 +15,7 @@ by the scheme's runtime at program start.
 
 from __future__ import annotations
 
-from ...isa.instructions import Imm, Label, Mem, Reg, Sym
+from ...isa.instructions import REGS, Imm, Label, Mem, Sym
 from .base import FramePlan, ProtectionPass
 
 
@@ -41,10 +41,10 @@ class PSSPOWFPass(ProtectionPass):
         Precondition: ``nonce_reg`` holds the 64-bit nonce.  The epilogue
         uses ``r11`` so the function's return value in ``rax`` survives.
         """
-        function.emit("movq", Reg("xmm15"), Reg(nonce_reg), note=note)
-        function.emit("movhps", Reg("xmm15"), Mem(base="rbp", disp=8), note=note)
-        function.emit("movq", Reg("xmm1"), Reg("r13"), note=note)
-        function.emit("punpckhdq", Reg("xmm1"), Reg("r12"), note=note)
+        function.emit("movq", REGS["xmm15"], REGS[nonce_reg], note=note)
+        function.emit("movhps", REGS["xmm15"], Mem(base="rbp", disp=8), note=note)
+        function.emit("movq", REGS["xmm1"], REGS["r13"], note=note)
+        function.emit("punpckhdq", REGS["xmm1"], REGS["r12"], note=note)
         function.emit("call", Sym("AES_ENCRYPT_128"), note=note)
 
     def emit_prologue(self, function, plan: FramePlan) -> None:
@@ -52,23 +52,23 @@ class PSSPOWFPass(ProtectionPass):
             return
         note = "pssp-owf-prologue"
         function.emit("rdtsc", note=note)
-        function.emit("shl", Reg("rdx"), Imm(32), note=note)
-        function.emit("or", Reg("rax"), Reg("rdx"), note=note)
+        function.emit("shl", REGS["rdx"], Imm(32), note=note)
+        function.emit("or", REGS["rax"], REGS["rdx"], note=note)
         function.emit("mov", Mem(base="rbp", disp=-plan.owf_nonce_offset),
-                      Reg("rax"), note=note)
+                      REGS["rax"], note=note)
         self._mac(function, plan, note)
         function.emit("movdqu", Mem(base="rbp", disp=-plan.owf_cipher_offset),
-                      Reg("xmm15"), note=note)
+                      REGS["xmm15"], note=note)
 
     def emit_epilogue_check(self, function, plan: FramePlan) -> None:
         if not plan.protected:
             return
         note = "pssp-owf-epilogue"
         ok = function.fresh_label("owf_ok")
-        function.emit("mov", Reg("r11"),
+        function.emit("mov", REGS["r11"],
                       Mem(base="rbp", disp=-plan.owf_nonce_offset), note=note)
         self._mac(function, plan, note, nonce_reg="r11")
-        function.emit("comiss", Reg("xmm15"),
+        function.emit("comiss", REGS["xmm15"],
                       Mem(base="rbp", disp=-plan.owf_cipher_offset), note=note)
         function.emit("je", Label(ok), note=note)
         function.emit("call", Sym("__stack_chk_fail"), note=note)

@@ -7,7 +7,7 @@ against the TLS canary and calls ``__stack_chk_fail`` on mismatch.
 
 from __future__ import annotations
 
-from ...isa.instructions import Label, Mem, Reg, Sym
+from ...isa.instructions import REGS, Label, Mem, Sym
 from ...machine.tls import CANARY_OFFSET
 from .base import FramePlan, ProtectionPass
 
@@ -24,19 +24,19 @@ class SSPPass(ProtectionPass):
     def emit_prologue(self, function, plan: FramePlan) -> None:
         if not plan.protected:
             return
-        function.emit("mov", Reg("rax"), Mem(seg="fs", disp=CANARY_OFFSET),
+        function.emit("mov", REGS["rax"], Mem(seg="fs", disp=CANARY_OFFSET),
                       note="ssp-prologue")
-        function.emit("mov", Mem(base="rbp", disp=-plan.canary_slots[0]), Reg("rax"),
+        function.emit("mov", Mem(base="rbp", disp=-plan.canary_slots[0]), REGS["rax"],
                       note="ssp-prologue")
-        function.emit("xor", Reg("rax"), Reg("rax"), note="ssp-prologue")
+        function.emit("xor", REGS["rax"], REGS["rax"], note="ssp-prologue")
 
     def emit_epilogue_check(self, function, plan: FramePlan) -> None:
         if not plan.protected:
             return
         ok = function.fresh_label("ssp_ok")
-        function.emit("mov", Reg("rdx"), Mem(base="rbp", disp=-plan.canary_slots[0]),
+        function.emit("mov", REGS["rdx"], Mem(base="rbp", disp=-plan.canary_slots[0]),
                       note="ssp-epilogue")
-        function.emit("xor", Reg("rdx"), Mem(seg="fs", disp=CANARY_OFFSET),
+        function.emit("xor", REGS["rdx"], Mem(seg="fs", disp=CANARY_OFFSET),
                       note="ssp-epilogue")
         function.emit("je", Label(ok), note="ssp-epilogue")
         function.emit("call", Sym("__stack_chk_fail"), note="ssp-epilogue")

@@ -56,7 +56,8 @@ def planted(mutant: Mutant):
     with it: the decoder is part of the toolchain, and a template's live
     clones share one decode store, so a process deployed on one side of
     the edge would otherwise serve its decodes to spawns on the other.
-    The decoder's process-wide step memo is dropped for the same reason.
+    The decoder's process-wide step and decode-record memos are dropped
+    for the same reason.
     """
     from ..parallel.buildcache import build_cache
     from ..parallel.snapcache import image_cache

@@ -20,7 +20,7 @@ model.  Absolute numbers are not meant to match an i7-4770K; ratios are.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 from .instructions import Instruction, Mem
 
@@ -95,12 +95,13 @@ NATIVE_HELPER_COSTS = {
 }
 
 
-@lru_cache(maxsize=65536)
+@cache
 def instruction_cost(instruction: Instruction) -> int:
     """Cycles consumed by one dynamic execution of ``instruction``.
 
-    Instructions are immutable value objects, so the cost is memoised —
-    the CPU main loop calls this for every dynamic instruction.
+    Instructions are immutable value objects, so the cost is memoised
+    once per value — the slow loop calls this for every dynamic
+    instruction.
     """
     cost = _BASE_COSTS[instruction.op]
     for operand in instruction.operands:

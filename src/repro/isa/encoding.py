@@ -15,6 +15,7 @@ pseudo-bytes of exactly that length so binaries have real byte content.
 from __future__ import annotations
 
 import hashlib
+from functools import cache
 from typing import Tuple
 
 from ..errors import AssemblerError
@@ -64,8 +65,13 @@ def _mem_bytes(mem: Operand, instruction: Instruction) -> int:
     return size
 
 
+@cache
 def encoded_length(instruction: Instruction) -> int:
-    """Return the modelled byte length of ``instruction``."""
+    """Return the modelled byte length of ``instruction``.
+
+    Memoised per instruction value: loader layout, ``function_length``
+    and the rewriter ask again for every (interned) instruction they see.
+    """
     op = instruction.op
     ops = instruction.operands
 

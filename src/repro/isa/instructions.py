@@ -14,6 +14,15 @@ exactly the addressing modes the paper's listings use:
 Instructions are value objects; rewriting tools build new ones rather than
 mutating in place, except the binary rewriter which performs documented
 in-place splices (that is its whole job).
+
+The constructors that codegen, the protection passes and the rewriter use
+(:meth:`Function.emit` and :func:`ins`) intern their results: each
+distinct ``(op, operands, note)`` value is built once per process and
+shared, with its operands, by every function that emits it.  Facts
+derived from an instruction (encoded length, cycle cost, decoded step)
+are then memoised once per value.  Direct ``Instruction(...)``
+construction stays valid: equality is by value, so such an instruction
+only misses out on the sharing.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from .registers import is_gpr, is_xmm
+from .registers import GPRS, XMMS, is_gpr, is_xmm
 
 
 @dataclass(frozen=True)
@@ -36,6 +45,12 @@ class Reg:
 
     def __str__(self) -> str:
         return f"%{self.name}"
+
+
+#: One validated :class:`Reg` per register name.  Codegen and the
+#: protection passes take their register operands from here, so the
+#: name check runs once per register, not once per emitted operand.
+REGS: Dict[str, Reg] = {name: Reg(name) for name in GPRS + XMMS}
 
 
 @dataclass(frozen=True)
@@ -141,6 +156,20 @@ class Instruction:
         if self.op not in ALL_OPS:
             raise ValueError(f"unknown mnemonic {self.op!r}")
 
+    def __hash__(self) -> int:
+        # Hashed once: every memo of derived facts is keyed by the
+        # instruction, and an interned one is looked up many times.
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.op, self.operands, self.note))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __reduce__(self):
+        # Pickle the value only: a cached string hash is per-process.
+        return Instruction, (self.op, self.operands, self.note)
+
     def __str__(self) -> str:
         if not self.operands:
             return self.op
@@ -151,9 +180,24 @@ class Instruction:
         return f"{self.op} " + ",".join(str(o) for o in ops)
 
 
+_INSTRUCTIONS: Dict[Tuple[str, Tuple[Operand, ...], str], Instruction] = {}
+_OPERANDS: Dict[Operand, Operand] = {}
+
+
+def _interned(op: str, operands: Tuple[Operand, ...], note: str) -> Instruction:
+    """The process's one :class:`Instruction` equal to ``op operands``
+    with ``note``, built on first request with interned operands."""
+    key = (op, operands, note)
+    instruction = _INSTRUCTIONS.get(key)
+    if instruction is None:
+        shared = tuple(_OPERANDS.setdefault(operand, operand) for operand in operands)
+        instruction = _INSTRUCTIONS[key] = Instruction(op, shared, note)
+    return instruction
+
+
 def ins(op: str, *operands: Operand, note: str = "") -> Instruction:
-    """Shorthand constructor: ``ins("mov", Reg("rax"), Imm(1))``."""
-    return Instruction(op, tuple(operands), note)
+    """Shorthand constructor: ``ins("mov", Reg("rax"), Imm(1))`` (interned)."""
+    return _interned(op, operands, note)
 
 
 @dataclass
@@ -184,8 +228,8 @@ class Function:
         self.labels[name] = len(self.body)
 
     def emit(self, op: str, *operands: Operand, note: str = "") -> None:
-        """Append an instruction."""
-        self.body.append(Instruction(op, operands, note))
+        """Append an (interned) instruction."""
+        self.body.append(_interned(op, operands, note))
 
     def fresh_label(self, hint: str = "L") -> str:
         """Reserve a label name unused in this function.

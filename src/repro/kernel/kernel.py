@@ -336,5 +336,12 @@ class Kernel:
     # -- teardown -------------------------------------------------------------------
 
     def reap(self, process: Process) -> None:
-        """Forget a terminated process (frees its memory on the host)."""
+        """Forget a terminated process (frees its memory on the host).
+
+        Its CPU's back-reference, and its threads', ends here: without
+        that loop every reaped worker would wait for the cyclic GC.
+        """
         self.processes.pop(process.pid, None)
+        process.cpu.process = None
+        for thread in process.threads:
+            thread.cpu.process = None

@@ -249,7 +249,8 @@ class Process:
             self.exit_status = status & 0xFF
         except MachineFault as fault:
             self.state = CRASHED
-            self.crash = fault
+            # The traceback's frames hold this process: keep the fault only.
+            self.crash = fault.with_traceback(None)
             _CRASHES.inc()
         return ProcessResult(
             self.state,
@@ -286,7 +287,8 @@ class Process:
             self.exit_status = self.cpu.exit_status
         except MachineFault as fault:
             self.state = CRASHED
-            self.crash = fault
+            # The traceback's frames hold this process: keep the fault only.
+            self.crash = fault.with_traceback(None)
             _CRASHES.inc()
         return ProcessResult(
             self.state,

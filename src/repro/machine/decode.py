@@ -36,10 +36,21 @@ superblock (:mod:`repro.machine.jit`) is a run of them compiled into one
 function.  A step depends on nothing but the instruction's mnemonic and
 operands — symbols are first resolved to the image's address, so
 ``lea r, sym`` lowers as an immediate move — so steps are memoised
-process-wide by ``(op, operands)`` in an LRU of :data:`STEP_MEMO_SIZE`
-entries.  Control transfers (``hlt``, ``jmp``, the conditional jumps,
-``call``, ``ret``) keep small closure compilers here, because they close
-over the function's labels and the image's callees.
+process-wide by ``(op, operands)``.  Control transfers (``hlt``,
+``jmp``, the conditional jumps, ``call``, ``ret``) keep small closure
+compilers here, because they close over the function's labels and the
+image's callees.
+
+**One record per instruction value.**  Codegen and the passes intern
+their instructions (:mod:`repro.isa.instructions`), so a process sees
+few distinct values however many programs it builds.  An instruction's
+``(execute, cycles, ticks, kind)`` record is memoised per DBI
+multiplier, keyed by the instruction, unless its step depends on its
+function or image: control transfers and symbol operands still resolve
+at every decode.  Decoding a function whose instructions have all been
+seen therefore lowers and costs nothing; it only wraps canary sites and
+stamps each step's ``next_rip``.  :func:`clear_step_memo` drops both
+memos.
 
 Steps close over the loaded image (symbol addresses, callee ``Function``
 objects, ``resolve``) and the DBI multiplier, never over a CPU: ``C``
@@ -70,7 +81,6 @@ keeps semantics authoritative in one place: the fast path can be
 from __future__ import annotations
 
 import re
-from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import telemetry
@@ -98,12 +108,17 @@ STRAIGHT = 0
 CONTROL = 1
 SYNC = 2
 
-#: Lowered steps kept by :func:`_lowered_step` (LRU, by instruction
-#: value), about 1.4 KB each.  Several times the distinct instructions
-#: of the SPEC-like suite under two schemes (327) or of 100 chaos
-#: programs (125).  Independent of the JIT's factory memo.
-STEP_MEMO_SIZE = 2048
-_STEPS: "OrderedDict[tuple, Optional[Callable]]" = OrderedDict()
+#: Lowered steps by ``(op, operands)`` with symbols resolved
+#: (:func:`_lowered_step`), about 1.4 KB each.  Unbounded, because the
+#: values a process sees are few: 327 keys for the SPEC-like suite under
+#: two schemes, 125 for 100 chaos programs and 128 after 400 more.
+#: Independent of the JIT's factory memo.
+_STEPS: Dict[tuple, Optional[Callable]] = {}
+#: Per DBI multiplier, each instruction's ``(execute, cycles, ticks,
+#: kind)`` record, or :data:`_BOUND` for one whose step depends on its
+#: function or image (a control transfer or a symbol operand).
+_RECORDS: Dict[float, Dict[Instruction, object]] = {}
+_BOUND = object()
 
 #: Register names the ``gpr`` dictionary holds; any other register operand
 #: is an xmm register.
@@ -692,19 +707,24 @@ def _lowered_step(instruction: Instruction, image) -> Optional[Callable]:
     if key is None:
         return None
     step = _STEPS.get(key, _MISSING)
-    if step is not _MISSING:
-        _STEPS.move_to_end(key)
-        return step
-    low = Lowering()
-    step = _STEPS[key] = _compile_step(low) if lower(low, *key, 0) else None
-    if len(_STEPS) > STEP_MEMO_SIZE:
-        _STEPS.popitem(last=False)
+    if step is _MISSING:
+        low = Lowering()
+        step = _STEPS[key] = _compile_step(low) if lower(low, *key, 0) else None
     return step
 
 
+def _by_value(instruction: Instruction) -> bool:
+    """True when ``instruction``'s step depends on its value alone."""
+    return instruction.op not in CONTROL_TRANSFER_OPS and not any(
+        isinstance(operand, Sym) for operand in instruction.operands
+    )
+
+
 def clear_step_memo() -> None:
-    """Forget every memoised step (for code that patches the lowering)."""
+    """Forget every memoised step and decode record (for code that
+    patches the lowering)."""
     _STEPS.clear()
+    _RECORDS.clear()
 
 
 class FunctionDecoder:
@@ -744,31 +764,40 @@ class FunctionDecoder:
         whatever the telemetry state or watch: the probe decides at run
         time, so the steps never need re-decoding when either changes.
         """
-        dbi = self.dbi_multiplier
-        image = self.image
-        control = self._control
+        records = _RECORDS.setdefault(self.dbi_multiplier, {})
         name = function.name
         sites = telemetry.canary_sites(function)
         steps: List[Step] = []
         for index, instruction in enumerate(function.body):
-            cycles, ticks = step_cost(instruction, dbi)
-            op = instruction.op
-            compiled = None
-            compiler = control.get(op)
-            if compiler is not None:
-                compiled = compiler(function, index, instruction)
-            elif op in LOWERINGS:
-                step = _lowered_step(instruction, image)
-                if step is not None:
-                    compiled = step, STRAIGHT
-            if compiled is None:
-                compiled = self._generic(instruction)
-            execute, kind = compiled
+            record = records.get(instruction)
+            if record is None:
+                record = self._record(function, index, instruction)
+                records[instruction] = record if _by_value(instruction) else _BOUND
+            elif record is _BOUND:
+                record = self._record(function, index, instruction)
+            execute, cycles, ticks, kind = record
             site = sites.get(index)
             if site is not None:
                 execute = _probed(execute, site)
             steps.append((execute, cycles, ticks, kind, (name, index + 1)))
         return DecodedFunction(function, steps, sites)
+
+    def _record(self, function: Function, index: int, instruction: Instruction):
+        """``(execute, cycles, ticks, kind)`` for one instruction."""
+        op = instruction.op
+        compiled = None
+        compiler = self._control.get(op)
+        if compiler is not None:
+            compiled = compiler(function, index, instruction)
+        elif op in LOWERINGS:
+            step = _lowered_step(instruction, self.image)
+            if step is not None:
+                compiled = step, STRAIGHT
+        if compiled is None:
+            compiled = self._generic(instruction)
+        execute, kind = compiled
+        cycles, ticks = step_cost(instruction, self.dbi_multiplier)
+        return execute, cycles, ticks, kind
 
     # ------------------------------------------------------------------
     # fallback: wrap the slow-path handler

@@ -49,26 +49,35 @@ class TestMutantInventory:
 
 
     def test_planting_clears_the_step_memo_on_both_edges(self):
-        # Decoded steps are memoised process-wide by instruction value; a
-        # lowering mutant must not be served pre-mutant steps, nor leave
-        # its own behind.
+        # Lowered steps and whole decode records are memoised process-wide
+        # by instruction value; a lowering mutant must not be served
+        # pre-mutant steps or records, nor leave its own behind.
         from types import SimpleNamespace
 
-        from repro.isa.instructions import Imm, Reg, ins
+        from repro.isa.instructions import Function, Imm, Reg, ins
         from repro.machine import decode
+        from repro.machine.cpu import _DISPATCH
 
         sub = ins("sub", Reg("rax"), Imm(1))
+        function = Function("f", [sub])
 
         def rax_after(step):
             cpu = SimpleNamespace(gpr={"rax": 5}, registers=SimpleNamespace())
             step(cpu)
             return cpu.gpr["rax"]
 
-        assert rax_after(decode._lowered_step(sub, None)) == 4
+        def results():
+            decoded = decode.FunctionDecoder(None, _DISPATCH).decode(function)
+            return (
+                rax_after(decode._lowered_step(sub, None)),
+                rax_after(decoded.steps[0][0]),
+            )
+
+        assert results() == (4, 4)
         by_name = {mutant.name: mutant for mutant in MUTANTS}
         with planted(by_name["runtime-lowering-sub-reversed"]):
-            assert rax_after(decode._lowered_step(sub, None)) == (1 - 5) % (1 << 64)
-        assert rax_after(decode._lowered_step(sub, None)) == 4
+            assert results() == ((1 - 5) % (1 << 64),) * 2
+        assert results() == (4, 4)
 
 
 class TestMutationKill:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.isa.instructions import (
+    REGS,
     Function,
     Imm,
     Instruction,
@@ -57,6 +58,55 @@ class TestInstruction:
         b = ins("xor", Reg("rax"), Reg("rax"))
         assert a == b
         assert hash(a) == hash(b)
+
+
+class TestInterning:
+    """``emit`` and ``ins`` hand out one shared object per value."""
+
+    SOURCE = "int main() { char buf[8]; buf[0] = 7; return buf[0]; }"
+
+    def test_separately_compiled_programs_share_instructions(self):
+        from repro.core.deploy import build
+
+        first, second = (
+            build(self.SOURCE, "pssp", name=name).function("main")
+            for name in ("first", "second")
+        )
+        assert first is not second
+        assert first.body == second.body
+        assert all(a is b for a, b in zip(first.body, second.body))
+
+    def test_emit_and_ins_share_one_object_per_value(self):
+        function = Function("f")
+        function.emit("mov", Reg("rax"), Mem(base="rbp", disp=-8), note="n")
+        shared = ins("mov", Reg("rax"), Mem(base="rbp", disp=-8), note="n")
+        assert function.body[0] is shared
+        # Equal operands are interned across instructions too.
+        lea = ins("lea", Reg("rcx"), Mem(base="rbp", disp=-8))
+        assert lea.operands[1] is shared.operands[1]
+
+    def test_a_different_note_is_a_different_object(self):
+        plain = ins("xor", Reg("rax"), Reg("rax"))
+        noted = ins("xor", Reg("rax"), Reg("rax"), note="ssp-prologue")
+        assert plain is not noted and plain != noted
+
+    def test_direct_construction_stays_an_equal_value(self):
+        direct = Instruction("add", (Reg("rax"), Imm(1)))
+        shared = ins("add", Reg("rax"), Imm(1))
+        assert direct is not shared
+        assert direct == shared and hash(direct) == hash(shared)
+
+    def test_pickling_keeps_the_value_not_the_cached_hash(self):
+        import pickle
+
+        instruction = ins("push", Reg("rbp"), note="frame")
+        hash(instruction)
+        clone = pickle.loads(pickle.dumps(instruction))
+        assert clone == instruction and "_hash" not in vars(clone)
+
+    def test_register_table_holds_one_validated_reg_per_name(self):
+        assert REGS["rax"] == Reg("rax") and REGS["xmm15"] == Reg("xmm15")
+        assert "eax" not in REGS
 
 
 class TestFunction:

@@ -307,13 +307,41 @@ class TestStepMemo:
         with pytest.raises(LinkError):
             steps[2][0](h.cpu)
 
-    def test_memo_evicts_least_recently_used_at_its_bound(self, monkeypatch):
-        monkeypatch.setattr(decode_module, "STEP_MEMO_SIZE", 2)
+    def test_one_record_per_value_and_multiplier(self, asm):
+        h = asm("f:\n add rax, 1\n call g\n ret\ng:\n ret\n")
         decode_module.clear_step_memo()
-        adds = [Instruction("add", (Reg("rax"), Imm(n))) for n in range(3)]
-        first = decode_module._lowered_step(adds[0], None)
-        decode_module._lowered_step(adds[1], None)
-        assert decode_module._lowered_step(adds[0], None) is first
-        decode_module._lowered_step(adds[2], None)
-        keys = [("add", add.operands) for add in adds]
-        assert list(decode_module._STEPS) == [keys[0], keys[2]]
+        for dbi in (1.0, 2.56):
+            decode_module.FunctionDecoder(h.image, _DISPATCH, dbi).decode(
+                h.image.function("f")
+            )
+        add, call, ret = h.image.function("f").body
+        plain, scaled = (decode_module._RECORDS[dbi] for dbi in (1.0, 2.56))
+        # One lowered step, charged per multiplier.
+        assert plain[add][0] is scaled[add][0]
+        assert (plain[add][1:3], scaled[add][1:3]) == ((1, 1), (2.56, 2))
+        # Control transfers resolve against their function and image.
+        assert plain[call] is plain[ret] is decode_module._BOUND
+
+    def test_seen_instructions_decode_without_lowering(self, monkeypatch):
+        lowered = []
+        original = decode_module.lower
+
+        def counting(low, op, operands, pos):
+            lowered.append(op)
+            return original(low, op, operands, pos)
+
+        monkeypatch.setattr(decode_module, "lower", counting)
+        decode_module.clear_step_memo()
+        kernel = Kernel(seed=11)
+        images = [
+            deploy(kernel, build(VICTIM, "pssp", name=name), "pssp")[0].image
+            for name in ("first", "second")
+        ]
+        first, second = (image.function("victim") for image in images)
+        assert first is not second
+        decode_module.FunctionDecoder(images[0], _DISPATCH).decode(first)
+        assert lowered
+        lowered.clear()
+        decoded = decode_module.FunctionDecoder(images[1], _DISPATCH).decode(second)
+        assert lowered == []
+        assert len(decoded.steps) == len(second.body)

@@ -41,6 +41,21 @@ class TestExperimentsDocument:
         for anchor in ("0.24", "1.01", "156", "33.006", "167.27", "986"):
             assert anchor in text, anchor
 
+    @pytest.mark.slow
+    @pytest.mark.filterwarnings("ignore:installing a cpu.trace hook:RuntimeWarning")
+    def test_regenerating_the_report_reproduces_the_file(self):
+        # The file is `python -m repro report` output; every number in it
+        # is seeded, so only the `_Generated ..._` timestamp may differ.
+        from repro.harness.report import generate_report
+
+        def body(text):
+            return [
+                line for line in text.splitlines()
+                if not line.startswith("_Generated ")
+            ]
+
+        assert body(generate_report()) == body(read("EXPERIMENTS.md"))
+
 
 class TestDesignDocument:
     def test_every_experiment_indexed(self):
